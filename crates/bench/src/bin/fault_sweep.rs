@@ -13,7 +13,7 @@
 //!   flit-hop every injected fault is recovered within the default
 //!   retry budget (`faults.unrecoverable` is 0).
 //!
-//! `cargo run --release -p disco-bench --features faults --bin fault_sweep -- \
+//! `cargo run --release -p disco-bench --bin fault_sweep -- \
 //!     [--mesh 4] [--rates 0.0,1e-5,1e-4,1e-3] [--quick] [--out BENCH_pr5.json]`
 
 use disco_core::{CompressionPlacement, SimBuilder};

@@ -13,13 +13,13 @@
 //!     [--meshes 8,16,32,64] [--topology mesh|ring|hring|torus|cmesh] \
 //!     [--cycles 0 (auto per mesh)] [--rate 0.1] \
 //!     [--shards 0 (auto = host cores)] [--seeds 2016,2018] \
-//!     [--out BENCH_pr7.json] \
-//!     [--gate-speedup 2.0] [--baseline BENCH_pr7.json]`
+//!     [--out BENCH_pr7.json] [--gate-speedup 2.0]`
 //!
-//! The two gate flags are CI hooks (both default off): `--gate-speedup`
-//! fails the run when the 16x16 sharded/serial speedup falls below the
-//! floor, and `--baseline` fails it when the fresh 8x8 serial cycles/s
-//! regresses more than 20% against a committed `BENCH_pr7.json`.
+//! `--gate-speedup` is a CI hook (default off): it fails the run when
+//! the 16x16 sharded/serial speedup falls below the floor. Serial
+//! throughput is not gated here: it varies too much from run to run on
+//! one host to compare against a committed number. Same-host
+//! parent-versus-change comparisons are `disco-benchmark`'s job.
 
 use disco_bench::sweep::{run_point, PointResult, SweepPoint};
 use disco_noc::traffic::TrafficPattern;
@@ -47,7 +47,6 @@ struct Args {
     seeds: Vec<u64>,
     out: String,
     gate_speedup: f64,
-    baseline: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -60,7 +59,6 @@ fn parse_args() -> Result<Args, String> {
         seeds: vec![disco_bench::DEFAULT_SEED, disco_bench::DEFAULT_SEED + 2],
         out: "BENCH_pr7.json".to_string(),
         gate_speedup: 0.0,
-        baseline: None,
     };
     let parse_list = |value: &str, what: &str| -> Result<Vec<u64>, String> {
         value
@@ -96,7 +94,6 @@ fn parse_args() -> Result<Args, String> {
             "--gate-speedup" => {
                 args.gate_speedup = value.parse().map_err(|_| bad("--gate-speedup"))?;
             }
-            "--baseline" => args.baseline = Some(value),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -183,24 +180,6 @@ fn run_mesh(
         speedup: sharded_cps / serial_cps.max(1e-9),
         deterministic,
     }
-}
-
-/// Pulls `"serial_8x8_cycles_per_s": <number>` out of a committed
-/// baseline file without a JSON parser dependency.
-fn baseline_serial_cps(path: &str) -> Result<f64, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let key = "\"serial_8x8_cycles_per_s\":";
-    let at = text
-        .find(key)
-        .ok_or_else(|| format!("{path}: no serial_8x8_cycles_per_s field"))?;
-    let rest = &text[at + key.len()..];
-    let end = rest
-        .find([',', '\n', '}'])
-        .ok_or_else(|| format!("{path}: unterminated serial_8x8_cycles_per_s"))?;
-    rest[..end]
-        .trim()
-        .parse()
-        .map_err(|_| format!("{path}: unparsable serial_8x8_cycles_per_s"))
 }
 
 fn main() -> ExitCode {
@@ -355,29 +334,6 @@ fn main() -> ExitCode {
             }
             None => {
                 eprintln!("kernel_speed: FAIL --gate-speedup set but 16 not in --meshes");
-                failed = true;
-            }
-        }
-    }
-    if let Some(path) = &args.baseline {
-        match baseline_serial_cps(path) {
-            Ok(committed) => {
-                let floor = committed * 0.8;
-                if serial_8x8 >= floor {
-                    println!(
-                        "kernel_speed: gate ok: serial 8x8 {serial_8x8:.0} c/s >= \
-                         80% of committed {committed:.0}"
-                    );
-                } else {
-                    eprintln!(
-                        "kernel_speed: FAIL serial 8x8 {serial_8x8:.0} c/s regressed >20% \
-                         vs committed {committed:.0}"
-                    );
-                    failed = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("kernel_speed: FAIL {e}");
                 failed = true;
             }
         }

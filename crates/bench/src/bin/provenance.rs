@@ -3,7 +3,7 @@
 //! EXPERIMENTS.md "Latency provenance" tables for CC vs CNC vs DISCO on
 //! the fig5 workloads, and exports one Perfetto-loadable sample trace.
 //!
-//! `cargo run --release -p disco-bench --features trace --bin provenance \
+//! `cargo run --release -p disco-bench --bin provenance \
 //!     [-- --out-dir results]`
 
 use disco_bench::{mean, trace_len, DEFAULT_SEED};

@@ -1,12 +1,11 @@
 //! Per-topology benchmark: every shipped topology gets (a) a raw NoC
 //! throughput point under uniform-random load and (b) a full-system
 //! DISCO run, so the snapshot records both how fast each fabric moves
-//! flits and how much codec latency DISCO hides on it. With the `trace`
-//! feature the full-system leg captures latency provenance and reports
-//! the hidden-codec-latency coverage directly; without it the coverage
-//! field is `null` (the throughput numbers are unaffected).
+//! flits and how much codec latency DISCO hides on it. The full-system
+//! leg captures latency provenance and reports the hidden-codec-latency
+//! coverage directly (the NoC throughput leg runs untraced).
 //!
-//! `cargo run --release --features trace -p disco-bench --bin topology_bench -- \
+//! `cargo run --release -p disco-bench --bin topology_bench -- \
 //!     [--mesh 4] [--cycles 5000] [--rate 0.1] [--trace-len 2000] \
 //!     [--out BENCH_pr8.json]`
 
@@ -63,7 +62,7 @@ struct TopologyResult {
     avg_access_latency: f64,
     compressions: u64,
     flits_saved: u64,
-    hidden_coverage: Option<f64>,
+    hidden_coverage: f64,
 }
 
 fn run_topology(choice: TopologyChoice, args: &Args) -> Result<TopologyResult, String> {
@@ -80,25 +79,22 @@ fn run_topology(choice: TopologyChoice, args: &Args) -> Result<TopologyResult, S
         compute_shards: 1,
         trace_capacity: 0,
     });
-    let builder = SimBuilder::new()
+    let report = SimBuilder::new()
         .mesh(args.mesh, args.mesh)
         .topology(choice)
         .placement(CompressionPlacement::Disco)
         .benchmark(Benchmark::Dedup)
         .trace_len(args.trace_len)
-        .seed(disco_bench::DEFAULT_SEED);
-    #[cfg(feature = "trace")]
-    let builder = builder.capture_trace(true);
-    let report = builder
+        .seed(disco_bench::DEFAULT_SEED)
+        .capture_trace(true)
         .run()
         .map_err(|e| format!("{choice} system run failed: {e}"))?;
-    #[cfg(feature = "trace")]
     let hidden_coverage = report
         .trace
         .as_ref()
-        .map(|t| t.provenance.hidden_coverage());
-    #[cfg(not(feature = "trace"))]
-    let hidden_coverage = None;
+        .expect("capture requested")
+        .provenance
+        .hidden_coverage();
     let disco = report.disco.as_ref();
     Ok(TopologyResult {
         topology: choice,
@@ -123,26 +119,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if !cfg!(feature = "trace") {
-        eprintln!(
-            "topology_bench: WARNING: built without --features trace; \
-             hidden_coverage will be null"
-        );
-    }
     let mut results = Vec::new();
     for choice in TopologyChoice::ALL {
         match run_topology(choice, &args) {
             Ok(r) => {
                 println!(
                     "topology_bench: {}: {:.0} c/s, {} pkts, avg latency {:.2}, \
-                     {} compressions, hidden coverage {}",
+                     {} compressions, hidden coverage {:.3}",
                     r.topology,
                     r.cycles_per_sec,
                     r.packets_delivered,
                     r.avg_packet_latency,
                     r.compressions,
-                    r.hidden_coverage
-                        .map_or_else(|| "n/a".to_string(), |c| format!("{c:.3}")),
+                    r.hidden_coverage,
                 );
                 results.push(r);
             }
@@ -161,7 +150,6 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"noc_rate\": {},", args.rate);
     let _ = writeln!(json, "  \"system_trace_len\": {},", args.trace_len);
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"trace_feature\": {},", cfg!(feature = "trace"));
     let _ = writeln!(json, "  \"topologies\": [");
     for (i, r) in results.iter().enumerate() {
         let sep = if i + 1 < results.len() { "," } else { "" };
@@ -171,7 +159,7 @@ fn main() -> ExitCode {
              \"noc_cycles_per_s\": {:.0}, \"packets_delivered\": {}, \
              \"avg_packet_latency\": {:.4}, \"avg_hops\": {:.4}, \
              \"avg_access_latency\": {:.4}, \"disco_compressions\": {}, \
-             \"disco_flits_saved\": {}, \"hidden_coverage\": {}}}{}",
+             \"disco_flits_saved\": {}, \"hidden_coverage\": {:.4}}}{}",
             r.topology,
             r.routers,
             r.radix,
@@ -182,8 +170,7 @@ fn main() -> ExitCode {
             r.avg_access_latency,
             r.compressions,
             r.flits_saved,
-            r.hidden_coverage
-                .map_or_else(|| "null".to_string(), |c| format!("{c:.4}")),
+            r.hidden_coverage,
             sep
         );
     }

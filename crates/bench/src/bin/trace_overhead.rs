@@ -1,34 +1,31 @@
 //! Tracing-overhead benchmark: the same uniform-random sweep run with the
-//! tracer off (this binary built without `--features trace`) and on (built
-//! with it, across ring capacities 2^12 .. 2^20), emitting a
-//! machine-readable `BENCH_pr4*.json`.
+//! tracer off and then on at ring capacities 2^12 .. 2^20, in one
+//! process, emitting a machine-readable `BENCH_pr4.json`.
 //!
-//! Two invariants back the "zero behavioral impact" claim:
-//!
-//! - the FNV-1a fingerprint over every point's final `NetworkStats` must
-//!   match between the untraced and traced builds (pass the untraced run's
-//!   JSON via `--baseline` to have the traced run assert it);
-//! - an untraced build of this workspace is byte-identical to one without
-//!   the trace crate wired in at all, because every emission site expands
-//!   to nothing (the golden stats test pins the observable half of that).
+//! Tracing is a runtime option (`Network::set_trace_capacity`, 0 = off),
+//! so both legs run the same binary. The "zero behavioral impact" claim
+//! is asserted in-process: the FNV-1a fingerprint over every point's
+//! final `NetworkStats` must be identical for the untraced leg and for
+//! every traced leg, or the run fails.
 //!
 //! `cargo run --release -p disco-bench --bin trace_overhead -- \
 //!     [--mesh 8] [--cycles 20000] [--rates 0.05,0.1,0.2] \
-//!     [--out BENCH_pr4_off.json]`
-//! `cargo run --release -p disco-bench --features trace --bin trace_overhead -- \
-//!     --baseline BENCH_pr4_off.json [--out BENCH_pr4.json]`
+//!     [--out BENCH_pr4.json]`
 
 use disco_bench::sweep::{run_sweep, PointResult, SweepPoint};
 use disco_noc::traffic::TrafficPattern;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+/// Ring capacities of the traced legs; the untraced leg (capacity 0)
+/// runs first.
+const CAPACITIES: [usize; 5] = [1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20];
+
 struct Args {
     mesh: usize,
     cycles: u64,
     rates: Vec<f64>,
     out: String,
-    baseline: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -36,12 +33,7 @@ fn parse_args() -> Result<Args, String> {
         mesh: 8,
         cycles: 20_000,
         rates: vec![0.05, 0.1, 0.2],
-        out: if cfg!(feature = "trace") {
-            "BENCH_pr4.json".to_string()
-        } else {
-            "BENCH_pr4_off.json".to_string()
-        },
-        baseline: None,
+        out: "BENCH_pr4.json".to_string(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -59,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
                     .collect::<Result<_, _>>()?;
             }
             "--out" => args.out = value,
-            "--baseline" => args.baseline = Some(value),
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -87,7 +78,7 @@ fn points_for(args: &Args, trace_capacity: usize) -> Vec<SweepPoint> {
 }
 
 /// FNV-1a over the debug rendering of every point's final counters: any
-/// behavioral difference between builds moves at least one counter and
+/// behavioral difference between legs moves at least one counter and
 /// changes the fingerprint.
 fn fingerprint(results: &[PointResult]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -100,45 +91,31 @@ fn fingerprint(results: &[PointResult]) -> u64 {
     h
 }
 
-/// Pulls `"key": "value"` or `"key": value` out of the baseline JSON
-/// without a JSON parser (we wrote the file; its shape is fixed).
-fn json_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\": ");
-    let start = text.find(&needle)? + needle.len();
-    let rest = &text[start..];
-    let end = rest.find([',', '\n', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
 struct Leg {
     capacity: usize,
     wall_secs: f64,
     cycles_per_sec: f64,
     emitted: u64,
     dropped: u64,
+    fingerprint: u64,
 }
 
-fn run_leg(args: &Args, capacity: usize) -> (Leg, Vec<PointResult>) {
+fn run_leg(args: &Args, capacity: usize) -> Leg {
     let points = points_for(args, capacity);
     let results = run_sweep(&points, 1);
     let wall_secs: f64 = results.iter().map(|r| r.wall_secs).sum();
     let total_cycles: f64 = points.iter().map(|p| p.cycles as f64).sum();
-    #[cfg(feature = "trace")]
     let (emitted, dropped) = results.iter().fold((0, 0), |(e, d), r| {
         (e + r.trace_emitted, d + r.trace_dropped)
     });
-    #[cfg(not(feature = "trace"))]
-    let (emitted, dropped) = (0, 0);
-    (
-        Leg {
-            capacity,
-            wall_secs,
-            cycles_per_sec: total_cycles / wall_secs.max(1e-9),
-            emitted,
-            dropped,
-        },
-        results,
-    )
+    Leg {
+        capacity,
+        wall_secs,
+        cycles_per_sec: total_cycles / wall_secs.max(1e-9),
+        emitted,
+        dropped,
+        fingerprint: fingerprint(&results),
+    }
 }
 
 fn main() -> ExitCode {
@@ -149,36 +126,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let traced = cfg!(feature = "trace");
-    // The untraced build has exactly one configuration; the traced build
-    // sweeps the ring capacity (0 = the crate default, 2^16).
-    let capacities: &[usize] = if traced {
-        &[0, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20]
-    } else {
-        &[0]
-    };
     println!(
-        "trace_overhead: traced_build={traced}, {}x{} mesh, {} cycles/point, rates {:?}",
+        "trace_overhead: {}x{} mesh, {} cycles/point, rates {:?}",
         args.mesh, args.mesh, args.cycles, args.rates
     );
 
-    let mut legs = Vec::new();
-    let mut fp = 0u64;
-    for (i, &capacity) in capacities.iter().enumerate() {
-        let (leg, results) = run_leg(&args, capacity);
-        let leg_fp = fingerprint(&results);
-        if i == 0 {
-            fp = leg_fp;
-        } else if leg_fp != fp {
-            // Ring capacity only bounds the event buffer; counters must
-            // not move with it.
-            eprintln!("trace_overhead: FAIL capacity {capacity} changed the stats fingerprint");
-            return ExitCode::FAILURE;
-        }
+    let mut legs: Vec<Leg> = Vec::new();
+    for capacity in std::iter::once(0).chain(CAPACITIES) {
+        let leg = run_leg(&args, capacity);
         println!(
             "  capacity {:>8}: {:>10.0} cycles/s ({} events emitted, {} dropped)",
             if capacity == 0 {
-                "default".to_string()
+                "off".to_string()
             } else {
                 capacity.to_string()
             },
@@ -186,52 +145,46 @@ fn main() -> ExitCode {
             leg.emitted,
             leg.dropped
         );
+        // Tracing only observes; counters must not move with it.
+        if legs
+            .first()
+            .is_some_and(|untraced| untraced.fingerprint != leg.fingerprint)
+        {
+            eprintln!("trace_overhead: FAIL capacity {capacity} changed the stats fingerprint");
+            return ExitCode::FAILURE;
+        }
         legs.push(leg);
     }
 
-    // Against the untraced baseline: stats must match exactly; report the
-    // throughput delta of the default-capacity traced leg.
-    let mut overhead_pct = f64::NAN;
-    if let Some(path) = &args.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("trace_overhead: cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let base_fp = json_field(&text, "stats_fingerprint").unwrap_or("");
-        if base_fp != format!("{fp:016x}") {
-            eprintln!(
-                "trace_overhead: FAIL stats fingerprint {fp:016x} differs from baseline {base_fp}"
-            );
-            return ExitCode::FAILURE;
-        }
-        if let Some(base_cps) =
-            json_field(&text, "default_cycles_per_s").and_then(|v| v.parse::<f64>().ok())
-        {
-            overhead_pct = 100.0 * (base_cps / legs[0].cycles_per_sec.max(1e-9) - 1.0);
-            println!(
-                "trace_overhead: stats identical to untraced baseline; tracing costs {overhead_pct:.1}% throughput at default capacity"
-            );
-        }
-    }
+    // Throughput cost of tracing at the default ring capacity.
+    let untraced = &legs[0];
+    let default_leg = legs
+        .iter()
+        .find(|l| l.capacity == disco_trace::DEFAULT_CAPACITY)
+        .unwrap_or(untraced);
+    let overhead_pct =
+        100.0 * (untraced.cycles_per_sec / default_leg.cycles_per_sec.max(1e-9) - 1.0);
+    println!(
+        "trace_overhead: stats identical with tracing on; tracing costs {overhead_pct:.1}% \
+         throughput at the default capacity"
+    );
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"trace_overhead\",");
-    let _ = writeln!(json, "  \"traced_build\": {traced},");
     let _ = writeln!(json, "  \"mesh\": \"{}x{}\",", args.mesh, args.mesh);
     let _ = writeln!(json, "  \"cycles_per_point\": {},", args.cycles);
-    let _ = writeln!(json, "  \"stats_fingerprint\": \"{fp:016x}\",");
     let _ = writeln!(
         json,
-        "  \"default_cycles_per_s\": {:.0},",
-        legs[0].cycles_per_sec
+        "  \"stats_fingerprint\": \"{:016x}\",",
+        untraced.fingerprint
     );
-    if overhead_pct.is_finite() {
-        let _ = writeln!(json, "  \"overhead_vs_untraced_pct\": {overhead_pct:.2},");
-    }
+    let _ = writeln!(
+        json,
+        "  \"untraced_cycles_per_s\": {:.0},",
+        untraced.cycles_per_sec
+    );
+    let _ = writeln!(json, "  \"overhead_vs_untraced_pct\": {overhead_pct:.2},");
     let _ = writeln!(json, "  \"legs\": [");
     for (i, leg) in legs.iter().enumerate() {
         let sep = if i + 1 < legs.len() { "," } else { "" };

@@ -28,7 +28,7 @@
 //!       "seed": 1,
 //!       "compute_shards": 1,
 //!       "max_cycles": 0,            // 0 = auto budget
-//!       "fault_rate": 0.0           // needs the `faults` feature if > 0
+//!       "fault_rate": 0.0           // uniform fault plan when > 0
 //!     }
 //!   ]
 //! }
@@ -80,7 +80,7 @@ pub struct JobSpec {
     pub compute_shards: usize,
     /// Cycle budget (0 = auto).
     pub max_cycles: u64,
-    /// Uniform fault rate (requires the `faults` feature when > 0).
+    /// Uniform fault rate (0 = no fault plan).
     pub fault_rate: f64,
 }
 
@@ -101,16 +101,14 @@ impl JobSpec {
             .seed(self.seed)
             .max_cycles(self.max_cycles)
             .noc(noc);
-        #[cfg(feature = "faults")]
-        let builder = if self.fault_rate > 0.0 {
+        if self.fault_rate > 0.0 {
             builder.faults(disco_faults::FaultPlan::uniform(
                 self.seed ^ 0xfa17,
                 self.fault_rate,
             ))
         } else {
             builder
-        };
-        builder
+        }
     }
 
     /// Rough cycle count this job will simulate: the explicit budget if
@@ -150,6 +148,16 @@ pub use disco_pareto::exec::expected_injections;
 /// not a bench-length one. Returns a single JSON line, or `None` when
 /// the configuration is sound. (Shared with the DSE driver.)
 pub use disco_pareto::exec::injection_warning;
+
+/// Largest grid side a queued job may ask for. The biggest network the
+/// repo simulates is `kernel_speed`'s 64×64 mesh.
+pub const MAX_GRID_SIDE: usize = 64;
+
+/// Largest total trace a queued job may ask for, in accesses (tiles ×
+/// `trace_len`). Traces are generated up front, so this bounds a job's
+/// memory. The biggest full-system run the repo makes is `fig8`'s 8×8
+/// mesh at the default 12 000 accesses per core (768 000).
+pub const MAX_TOTAL_ACCESSES: u64 = 1 << 22;
 
 fn job_name_ok(name: &str) -> bool {
     !name.is_empty()
@@ -200,6 +208,12 @@ fn parse_job(obj: &Json, index: usize) -> Result<JobSpec, String> {
     if cols < 2 || rows < 2 {
         return Err(format!("{}: grid must be at least 2x2", ctx("mesh")));
     }
+    if cols > MAX_GRID_SIDE || rows > MAX_GRID_SIDE {
+        return Err(format!(
+            "{}: grid {cols}x{rows} exceeds MAX_GRID_SIDE = {MAX_GRID_SIDE}",
+            ctx("mesh")
+        ));
+    }
     let field_str = |field: &str, default: &'static str| {
         obj.get(field)
             .map(|v| {
@@ -236,10 +250,19 @@ fn parse_job(obj: &Json, index: usize) -> Result<JobSpec, String> {
     let trace_len = obj
         .get("trace_len")
         .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{} missing", ctx("trace_len")))? as usize;
+        .ok_or_else(|| format!("{} missing", ctx("trace_len")))?;
     if trace_len == 0 {
         return Err(format!("{} must be positive", ctx("trace_len")));
     }
+    let accesses = ((cols * rows) as u64).saturating_mul(trace_len);
+    if accesses > MAX_TOTAL_ACCESSES {
+        return Err(format!(
+            "{}: {cols}x{rows} tiles x {trace_len} accesses exceeds \
+             MAX_TOTAL_ACCESSES = {MAX_TOTAL_ACCESSES}",
+            ctx("trace_len")
+        ));
+    }
+    let trace_len = trace_len as usize;
     let seed = obj.get("seed").and_then(Json::as_u64).unwrap_or(1);
     let compute_shards = obj
         .get("compute_shards")
@@ -249,12 +272,6 @@ fn parse_job(obj: &Json, index: usize) -> Result<JobSpec, String> {
     let fault_rate = obj.get("fault_rate").and_then(Json::as_f64).unwrap_or(0.0);
     if fault_rate < 0.0 {
         return Err(format!("{} must be non-negative", ctx("fault_rate")));
-    }
-    if fault_rate > 0.0 && !cfg!(feature = "faults") {
-        return Err(format!(
-            "{}: fault injection needs a `--features faults` build",
-            ctx("fault_rate")
-        ));
     }
     Ok(JobSpec {
         name,
@@ -622,6 +639,22 @@ mod tests {
             {"name": "../x", "mesh": 2, "trace_len": 10}
         ]}"#;
         assert!(parse_queue(bad_name).unwrap_err().contains("file-safe"));
+        // Sizes that would abort or exhaust memory at build time are
+        // refused up front, naming the limit.
+        let huge_grid = r#"{"jobs": [{"name": "x", "mesh": 100000, "trace_len": 10}]}"#;
+        let e = parse_queue(huge_grid).unwrap_err();
+        assert!(e.contains("MAX_GRID_SIDE = 64"), "{e}");
+        let tall_grid = r#"{"jobs": [{"name": "x", "cols": 2, "rows": 65, "trace_len": 10}]}"#;
+        let e = parse_queue(tall_grid).unwrap_err();
+        assert!(e.contains("MAX_GRID_SIDE"), "{e}");
+        let long_trace = r#"{"jobs": [{"name": "x", "mesh": 64, "trace_len": 1025}]}"#;
+        let e = parse_queue(long_trace).unwrap_err();
+        assert!(e.contains("MAX_TOTAL_ACCESSES = 4194304"), "{e}");
+        let overflow = r#"{"jobs": [{"name": "x", "mesh": 64, "trace_len": 1e19}]}"#;
+        let e = parse_queue(overflow).unwrap_err();
+        assert!(e.contains("MAX_TOTAL_ACCESSES"), "{e}");
+        let at_limit = r#"{"jobs": [{"name": "x", "mesh": 64, "trace_len": 1024}]}"#;
+        assert!(parse_queue(at_limit).is_ok(), "the limits are inclusive");
         assert!(parse_queue("{}").is_err());
         assert!(parse_queue("not json").is_err());
     }

@@ -34,8 +34,8 @@ pub struct SweepPoint {
     /// Kernel shard request (see `NocConfig::compute_shards`; ignored
     /// without the `parallel` feature).
     pub compute_shards: usize,
-    /// Trace ring-buffer capacity override (0 = crate default; ignored
-    /// without the `trace` feature). Used by the tracing-overhead bench.
+    /// Trace ring-buffer capacity in records; 0 = tracing off. Used by
+    /// the tracing-overhead bench.
     pub trace_capacity: usize,
 }
 
@@ -50,11 +50,9 @@ pub struct PointResult {
     pub wall_secs: f64,
     /// Simulated cycles per wall-clock second.
     pub cycles_per_sec: f64,
-    /// Events the tracer emitted over the run (`trace` builds only).
-    #[cfg(feature = "trace")]
+    /// Events the tracer emitted over the run (0 when tracing is off).
     pub trace_emitted: u64,
-    /// Events the ring buffer dropped (`trace` builds only).
-    #[cfg(feature = "trace")]
+    /// Events the ring buffer dropped (0 when tracing is off).
     pub trace_dropped: u64,
 }
 
@@ -68,10 +66,7 @@ pub fn run_point(point: &SweepPoint) -> PointResult {
     };
     let nodes = topo.tiles();
     let mut net = Network::new(topo, config);
-    #[cfg(feature = "trace")]
-    if point.trace_capacity > 0 {
-        net.set_trace_capacity(point.trace_capacity);
-    }
+    net.set_trace_capacity(point.trace_capacity);
     let mut driver = TrafficDriver::new(point.pattern, point.injection_rate, true, point.seed);
     let start = Instant::now();
     for _ in 0..point.cycles {
@@ -87,10 +82,8 @@ pub fn run_point(point: &SweepPoint) -> PointResult {
         stats: *net.stats(),
         wall_secs,
         cycles_per_sec: point.cycles as f64 / wall_secs,
-        #[cfg(feature = "trace")]
-        trace_emitted: net.tracer().emitted(),
-        #[cfg(feature = "trace")]
-        trace_dropped: net.tracer().dropped(),
+        trace_emitted: net.tracer().map_or(0, |t| t.emitted()),
+        trace_dropped: net.tracer().map_or(0, |t| t.dropped()),
     }
 }
 

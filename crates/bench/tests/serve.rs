@@ -1,6 +1,7 @@
 //! End-to-end `disco-serve` contract: kill the server mid-queue and a
 //! rerun of the same command line resumes from checkpoints and produces
-//! final per-job stats byte-identical to an uninterrupted run.
+//! final per-job stats byte-identical to an uninterrupted run — for a
+//! fault-injected job, fault ledger included.
 //!
 //! The "kill" is the `--max-chunks` budget — a deterministic stand-in
 //! for SIGKILL that stops workers at a chunk boundary, exactly where a
@@ -14,10 +15,14 @@ const BIN: &str = env!("CARGO_BIN_EXE_disco-serve");
 
 fn queue_json() -> String {
     // Small grid, but enough cycles that every job spans several
-    // checkpoint chunks.
+    // checkpoint chunks. The faulty job goes first, so the kill lands
+    // mid-run with fault-recovery state in its checkpoint.
     r#"{
         "checkpoint_every": 300,
         "jobs": [
+            {"name": "dd-faulty", "mesh": 4, "placement": "disco",
+             "benchmark": "dedup", "trace_len": 300, "seed": 14,
+             "fault_rate": 1e-4},
             {"name": "bs-disco", "mesh": 2, "placement": "disco",
              "benchmark": "blackscholes", "trace_len": 250, "seed": 11},
             {"name": "sw-base", "mesh": 2, "placement": "baseline",
@@ -75,7 +80,7 @@ fn stats_of(dir: &Path, name: &str) -> Vec<u8> {
         .unwrap_or_else(|e| panic!("{name}.stats in {}: {e}", dir.display()))
 }
 
-const JOBS: [&str; 3] = ["bs-disco", "sw-base", "dd-cc"];
+const JOBS: [&str; 4] = ["dd-faulty", "bs-disco", "sw-base", "dd-cc"];
 
 #[test]
 fn killed_and_resumed_queue_matches_uninterrupted_run() {
@@ -87,6 +92,12 @@ fn killed_and_resumed_queue_matches_uninterrupted_run() {
     let out = run_serve(&queue, &baseline_dir, &[]);
     assert!(out.status.success(), "baseline: {out:?}");
     let baseline: Vec<Vec<u8>> = JOBS.iter().map(|j| stats_of(&baseline_dir, j)).collect();
+    let faulty = String::from_utf8_lossy(&baseline[0]);
+    let injected = faulty
+        .lines()
+        .find_map(|l| l.strip_prefix("faults.injected = "))
+        .expect("the faulty job reports its fault ledger");
+    assert_ne!(injected, "0", "the faulty job must see faults:\n{faulty}");
 
     // "Killed" run: a two-chunk budget stops the server long before the
     // queue drains, leaving checkpoints behind.
@@ -144,7 +155,7 @@ fn killed_and_resumed_queue_matches_uninterrupted_run() {
     // A third run is a no-op: everything already done.
     let idem = run_serve(&queue, &resumed_dir, &[]);
     assert!(idem.status.success());
-    assert!(String::from_utf8_lossy(&idem.stdout).contains("3 already done"));
+    assert!(String::from_utf8_lossy(&idem.stdout).contains("4 already done"));
 }
 
 #[test]
@@ -204,7 +215,7 @@ fn validate_only_checks_the_queue_without_simulating() {
     let out_dir = dirs.out("out");
     let out = run_serve(&queue, &out_dir, &["--validate-only"]);
     assert!(out.status.success(), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("queue ok: 3 jobs"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("queue ok: 4 jobs"));
     // Nothing simulated, nothing written.
     assert!(!out_dir.join("bs-disco.stats").exists());
 

@@ -55,16 +55,14 @@ pub struct Dram {
     bank_free_at: Vec<u64>,
     open_row: Vec<Option<u64>>,
     stats: DramStats,
-    /// Fault schedule for bank-stall bursts (`faults` only). `None`
-    /// keeps the timing byte-identical to a faults-free build.
-    #[cfg(feature = "faults")]
+    /// Fault schedule for bank-stall bursts. `None` keeps the timing
+    /// byte-identical to a fault-free run.
     plan: Option<disco_faults::FaultPlan>,
-    /// Extra cycles charged by injected bank stalls (`faults` only).
-    #[cfg(feature = "faults")]
+    /// Extra cycles charged by injected bank stalls.
     fault_stall_cycles: u64,
     /// Off-chip access events since the last [`Dram::drain_trace`]; the
     /// harness drains and cycle-stamps these at the end of each tick.
-    #[cfg(feature = "trace")]
+    /// Records only while tracing is on ([`Dram::set_tracing`]).
     site_log: disco_trace::EventList,
 }
 
@@ -76,11 +74,8 @@ impl Dram {
             bank_free_at: vec![0; config.banks],
             open_row: vec![None; config.banks],
             stats: DramStats::default(),
-            #[cfg(feature = "faults")]
             plan: None,
-            #[cfg(feature = "faults")]
             fault_stall_cycles: 0,
-            #[cfg(feature = "trace")]
             site_log: disco_trace::EventList::default(),
         }
     }
@@ -90,20 +85,22 @@ impl Dram {
         &self.stats
     }
 
-    /// Arms the bank-stall fault schedule (`faults` only).
-    #[cfg(feature = "faults")]
+    /// Arms the bank-stall fault schedule.
     pub fn set_fault_plan(&mut self, plan: disco_faults::FaultPlan) {
         self.plan = plan.is_active().then_some(plan);
     }
 
-    /// Cycles lost to injected bank stalls (`faults` only).
-    #[cfg(feature = "faults")]
+    /// Cycles lost to injected bank stalls.
     pub fn fault_stall_cycles(&self) -> u64 {
         self.fault_stall_cycles
     }
 
-    /// Takes the events accumulated since the last drain (`trace` only).
-    #[cfg(feature = "trace")]
+    /// Switches recording of off-chip access events on or off.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.site_log.set_tracing(on);
+    }
+
+    /// Takes the events accumulated since the last drain.
     pub fn drain_trace(&mut self) -> Vec<disco_trace::Event> {
         self.site_log.drain()
     }
@@ -114,13 +111,11 @@ impl Dram {
     pub fn access(&mut self, addr: LineAddr, now: u64, write: bool) -> u64 {
         let bank = (addr.0 % self.config.banks as u64) as usize;
         let row = addr.0 / self.config.banks as u64 / self.config.row_lines.max(1) as u64;
-        #[allow(unused_mut)]
         let mut start = now.max(self.bank_free_at[bank]);
         self.stats.conflict_cycles += start - now;
         // A scheduled bank-stall burst holds the bank for an extra
         // penalty window before it can begin service. The lost cycles
         // are tallied separately from ordinary bank conflicts.
-        #[cfg(feature = "faults")]
         if let Some(plan) = &self.plan {
             if plan.window_fires(
                 disco_faults::FaultKind::DramStall,
@@ -218,7 +213,6 @@ mod tests {
         assert_eq!(Dram::new(DramConfig::default()).stats().row_hit_rate(), 0.0);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn bank_stalls_delay_service_and_are_counted() {
         let mut plan = disco_faults::FaultPlan::new(11);
@@ -232,7 +226,6 @@ mod tests {
         assert_eq!(d.stats().conflict_cycles, 0);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn inactive_plan_leaves_timing_untouched() {
         let mut d = Dram::new(DramConfig::default());
@@ -262,7 +255,6 @@ impl Dram {
         w.put(&self.bank_free_at);
         w.put(&self.open_row);
         w.put(&self.stats);
-        #[cfg(feature = "faults")]
         w.put(&self.fault_stall_cycles);
     }
 
@@ -282,10 +274,7 @@ impl Dram {
         self.bank_free_at = bank_free_at;
         self.open_row = r.take()?;
         self.stats = r.take()?;
-        #[cfg(feature = "faults")]
-        {
-            self.fault_stall_cycles = r.take()?;
-        }
+        self.fault_stall_cycles = r.take()?;
         Ok(())
     }
 }

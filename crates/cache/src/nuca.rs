@@ -115,9 +115,8 @@ pub struct NucaBank {
     /// Boundary-crossing events since the last [`NucaBank::drain_trace`].
     /// The bank has no notion of the global cycle, so the harness drains
     /// and stamps these at the end of each tick, in bank-index order.
-    #[cfg(feature = "trace")]
+    /// Records only while tracing is on ([`NucaBank::set_tracing`]).
     site_log: disco_trace::EventList,
-    #[cfg(feature = "trace")]
     bank_id: u16,
 }
 
@@ -132,15 +131,17 @@ impl NucaBank {
             policy: ReplacementPolicy::new(config.replacement, 0xba5e ^ bank_id as u64),
             clock: 0,
             stats: BankStats::default(),
-            #[cfg(feature = "trace")]
             site_log: disco_trace::EventList::default(),
-            #[cfg(feature = "trace")]
             bank_id: bank_id as u16,
         }
     }
 
-    /// Takes the events accumulated since the last drain (`trace` only).
-    #[cfg(feature = "trace")]
+    /// Switches recording of boundary-crossing events on or off.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.site_log.set_tracing(on);
+    }
+
+    /// Takes the events accumulated since the last drain.
     pub fn drain_trace(&mut self) -> Vec<disco_trace::Event> {
         self.site_log.drain()
     }

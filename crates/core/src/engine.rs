@@ -443,7 +443,11 @@ impl DiscoLayer {
                     };
                     return;
                 }
-                if !result.is_compressed() {
+                // Fault hook: a corrupted compressor output is caught by
+                // decompress-and-verify here and the packet falls back to
+                // uncompressed delivery (same downstream handling as an
+                // incompressible line).
+                if !result.is_compressed() || net.codec_output_faulted(node_id, packet, &result) {
                     net.store_mut().get_mut(packet).compressible = false;
                     self.stats.incompressible += 1;
                     disco_trace::emit!(
@@ -457,28 +461,6 @@ impl DiscoLayer {
                     );
                     return;
                 }
-                // Fault hook: a corrupted compressor output is caught by
-                // decompress-and-verify here and the packet falls back to
-                // uncompressed delivery (same downstream handling as an
-                // incompressible line).
-                #[cfg(feature = "faults")]
-                let result = match net.fault_codec_output(node_id, packet, result) {
-                    Some(r) => r,
-                    None => {
-                        net.store_mut().get_mut(packet).compressible = false;
-                        self.stats.incompressible += 1;
-                        disco_trace::emit!(
-                            net,
-                            disco_trace::Event::CodecEnd {
-                                packet: packet.0,
-                                node: node as u16,
-                                op: disco_trace::codec::COMPRESS,
-                                outcome: disco_trace::codec::INCOMPRESSIBLE,
-                            }
-                        );
-                        return;
-                    }
-                };
                 let old_size = net.store().get(packet).size_flits();
                 let final_flits = result.size_bytes().div_ceil(FLIT_BYTES).max(1);
                 net.store_mut().get_mut(packet).payload = Payload::Compressed(result);
@@ -541,11 +523,14 @@ impl DiscoLayer {
                         };
                         return;
                     }
-                    if !result.is_compressed() {
-                        // The parallel compressor units found no fitting
-                        // encoding: release the shadow packet untouched and
-                        // mark it so no downstream engine wastes a slot on
-                        // it again (a header "attempted" bit).
+                    // The parallel compressor units found no fitting
+                    // encoding, or (fault hook at the commit decision,
+                    // before any resident flit is consumed) its output
+                    // failed verification: release the shadow packet
+                    // untouched and mark it so no downstream engine wastes
+                    // a slot on it again (a header "attempted" bit).
+                    if !result.is_compressed() || net.codec_output_faulted(node_id, packet, &result)
+                    {
                         net.store_mut().get_mut(packet).compressible = false;
                         self.stats.incompressible += 1;
                         disco_trace::emit!(
@@ -558,27 +543,6 @@ impl DiscoLayer {
                             }
                         );
                         return;
-                    }
-                    // Fault hook at the commit decision — before any
-                    // resident flit is consumed, so the fallback path is
-                    // identical to an incompressible line.
-                    #[cfg(feature = "faults")]
-                    match net.fault_codec_output(node_id, packet, result.clone()) {
-                        Some(_) => {}
-                        None => {
-                            net.store_mut().get_mut(packet).compressible = false;
-                            self.stats.incompressible += 1;
-                            disco_trace::emit!(
-                                net,
-                                disco_trace::Event::CodecEnd {
-                                    packet: packet.0,
-                                    node: node as u16,
-                                    op: disco_trace::codec::COMPRESS,
-                                    outcome: disco_trace::codec::INCOMPRESSIBLE,
-                                }
-                            );
-                            return;
-                        }
                     }
                     committed = true;
                 }
@@ -691,7 +655,8 @@ impl DiscoLayer {
                     };
                     return;
                 }
-                if !result.is_compressed() {
+                // Fault hook: see the compressing-whole case above.
+                if !result.is_compressed() || net.codec_output_faulted(node_id, packet, &result) {
                     net.store_mut().get_mut(packet).compressible = false;
                     self.stats.incompressible += 1;
                     disco_trace::emit!(
@@ -705,25 +670,6 @@ impl DiscoLayer {
                     );
                     return;
                 }
-                // Fault hook: see the compressing-whole case above.
-                #[cfg(feature = "faults")]
-                let result = match net.fault_codec_output(node_id, packet, result) {
-                    Some(r) => r,
-                    None => {
-                        net.store_mut().get_mut(packet).compressible = false;
-                        self.stats.incompressible += 1;
-                        disco_trace::emit!(
-                            net,
-                            disco_trace::Event::CodecEnd {
-                                packet: packet.0,
-                                node: node as u16,
-                                op: disco_trace::codec::COMPRESS,
-                                outcome: disco_trace::codec::INCOMPRESSIBLE,
-                            }
-                        );
-                        return;
-                    }
-                };
                 let old_size = net.store().get(packet).size_flits();
                 let final_flits = result.size_bytes().div_ceil(FLIT_BYTES).max(1);
                 net.store_mut().get_mut(packet).payload = Payload::Compressed(result);

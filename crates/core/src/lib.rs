@@ -56,7 +56,5 @@ pub use arbitrator::{DiscoParams, Pressure};
 pub use engine::{DiscoLayer, DiscoStats};
 pub use histogram::LatencyHistogram;
 pub use placement::CompressionPlacement;
-pub use report::SimReport;
-#[cfg(feature = "trace")]
-pub use report::TraceCapture;
-pub use system::{feature_fingerprint, SimBuilder, SimError, System};
+pub use report::{SimReport, TraceCapture};
+pub use system::{SimBuilder, SimError, System};

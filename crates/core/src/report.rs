@@ -11,7 +11,6 @@ use disco_noc::NetworkStats;
 
 /// Trace capture attached to a report when the run opted into tracing
 /// (see [`SimBuilder::capture_trace`](crate::SimBuilder::capture_trace)).
-#[cfg(feature = "trace")]
 #[derive(Debug, Clone)]
 pub struct TraceCapture {
     /// Events emitted over the whole run.
@@ -68,11 +67,9 @@ pub struct SimReport {
     pub energy: EnergyBreakdown,
     /// Fault-injection ledger (None unless the run armed a fault plan
     /// via [`SimBuilder::faults`](crate::SimBuilder::faults)).
-    #[cfg(feature = "faults")]
     pub faults: Option<disco_faults::FaultStats>,
     /// Trace capture and latency provenance (None unless the run opted
     /// in via the builder).
-    #[cfg(feature = "trace")]
     pub trace: Option<TraceCapture>,
 }
 
@@ -261,8 +258,7 @@ impl SimReport {
             writeln!(w, "disco.flits_saved = {}", d.flits_saved)?;
         }
         // Fault keys appear only when the run armed an active plan, so
-        // golden stats are identical across feature legs.
-        #[cfg(feature = "faults")]
+        // golden stats are identical whether or not a run could have.
         if let Some(f) = &self.faults {
             writeln!(w, "faults.injected = {}", f.injected)?;
             writeln!(w, "faults.detected = {}", f.detected)?;
@@ -278,8 +274,7 @@ impl SimReport {
             writeln!(w, "faults.dram_stall_cycles = {}", f.dram_stall_cycles)?;
         }
         // Provenance keys appear only when the run captured a trace, so
-        // golden stats are identical across feature legs.
-        #[cfg(feature = "trace")]
+        // an untraced run's stats match the golden file.
         if let Some(t) = &self.trace {
             let p = &t.provenance.totals;
             writeln!(w, "trace.events = {}", t.events)?;

@@ -43,9 +43,8 @@ pub enum SimError {
         suspicious_stalls: usize,
     },
     /// A corrupted payload reached its destination without the NI
-    /// checksum catching it (`faults` only). Any occurrence is a bug in
-    /// the detection layer, never an acceptable outcome.
-    #[cfg(feature = "faults")]
+    /// checksum catching it. Any occurrence is a bug in the detection
+    /// layer, never an acceptable outcome.
     SilentCorruption {
         /// Deliveries whose payload differed from the pristine copy.
         undetected: u64,
@@ -60,15 +59,6 @@ pub enum SimError {
         /// Version recorded in the snapshot.
         found: u32,
         /// Version this binary reads/writes.
-        expected: u32,
-    },
-    /// The snapshot was taken by a binary compiled with different
-    /// state-affecting cargo features (e.g. `faults` state cannot
-    /// restore into a build without it).
-    SnapshotFeatureMismatch {
-        /// Fingerprint recorded in the snapshot.
-        found: u32,
-        /// Fingerprint of this binary ([`feature_fingerprint`]).
         expected: u32,
     },
     /// The snapshot bytes are structurally invalid (bad magic, bad enum
@@ -103,7 +93,6 @@ impl fmt::Display for SimError {
                 "simulation did not drain within {max_cycles} cycles \
                  ({outstanding} accesses outstanding, {suspicious_stalls} suspicious stalls)"
             ),
-            #[cfg(feature = "faults")]
             SimError::SilentCorruption { undetected } => write!(
                 f,
                 "{undetected} corrupted deliveries escaped fault detection"
@@ -114,11 +103,6 @@ impl fmt::Display for SimError {
             SimError::SnapshotVersionMismatch { found, expected } => write!(
                 f,
                 "snapshot format version {found} but this binary reads version {expected}"
-            ),
-            SimError::SnapshotFeatureMismatch { found, expected } => write!(
-                f,
-                "snapshot feature fingerprint {found:#04b} but this binary is {expected:#04b} \
-                 (rebuild with the same cargo features the snapshot was taken with)"
             ),
             SimError::SnapshotCorrupt { detail } => {
                 write!(f, "corrupt snapshot: {detail}")
@@ -148,9 +132,6 @@ impl From<disco_snapshot::SnapError> for SimError {
             },
             SnapError::VersionMismatch { found, expected } => {
                 SimError::SnapshotVersionMismatch { found, expected }
-            }
-            SnapError::FeatureMismatch { found, expected } => {
-                SimError::SnapshotFeatureMismatch { found, expected }
             }
             SnapError::Malformed { detail } => SimError::SnapshotCorrupt { detail },
         }
@@ -228,7 +209,6 @@ struct CodecOps {
 /// Trace capture state for a run that opted into provenance analysis.
 /// Records drain out of the network tracer once per tick, in node order,
 /// so the capture is lossless and shard-invariant.
-#[cfg(feature = "trace")]
 struct TraceState {
     analyzer: disco_trace::ProvenanceAnalyzer,
     records: Vec<disco_trace::Record>,
@@ -270,7 +250,8 @@ pub struct System {
     builder: SimBuilder,
     /// Resolved cycle budget ([`SimError::DeadlineExceeded`] past it).
     max_cycles: u64,
-    #[cfg(feature = "trace")]
+    /// Trace capture state; `Some` exactly while the run captures a
+    /// trace, in which case the network, banks and DRAM record events.
     trace: Option<TraceState>,
 }
 
@@ -322,14 +303,15 @@ impl System {
     /// stored line out.
     fn bank_send(&mut self, stored: &StoredLine) -> (Payload, u64) {
         let r = self.bank_send_inner(stored);
-        #[cfg(feature = "trace")]
-        if r.1 > 0 {
-            self.net.trace_record(disco_trace::Event::EndpointCodec {
-                site: disco_trace::site::BANK_SEND,
-                cycles: r.1,
-            });
-        }
+        self.trace_endpoint_codec(disco_trace::site::BANK_SEND, r.1);
         r
+    }
+
+    /// Records codec latency charged at an endpoint site (tracing only).
+    fn trace_endpoint_codec(&mut self, site: u8, cycles: u64) {
+        if cycles > 0 {
+            disco_trace::emit!(self.net, disco_trace::Event::EndpointCodec { site, cycles });
+        }
     }
 
     fn bank_send_inner(&mut self, stored: &StoredLine) -> (Payload, u64) {
@@ -378,13 +360,7 @@ impl System {
     /// Data payload injected by a core or memory controller.
     fn endpoint_send(&mut self, line: &CacheLine) -> (Payload, u64) {
         let r = self.endpoint_send_inner(line);
-        #[cfg(feature = "trace")]
-        if r.1 > 0 {
-            self.net.trace_record(disco_trace::Event::EndpointCodec {
-                site: disco_trace::site::ENDPOINT_SEND,
-                cycles: r.1,
-            });
-        }
+        self.trace_endpoint_codec(disco_trace::site::ENDPOINT_SEND, r.1);
         r
     }
 
@@ -416,13 +392,7 @@ impl System {
     /// Form and codec latency for storing an arriving payload in a bank.
     fn store_prep(&mut self, payload: &Payload) -> (StoredLine, u64) {
         let r = self.store_prep_inner(payload);
-        #[cfg(feature = "trace")]
-        if r.1 > 0 {
-            self.net.trace_record(disco_trace::Event::EndpointCodec {
-                site: disco_trace::site::STORE_PREP,
-                cycles: r.1,
-            });
-        }
+        self.trace_endpoint_codec(disco_trace::site::STORE_PREP, r.1);
         r
     }
 
@@ -483,13 +453,7 @@ impl System {
     /// must enter the MSHR raw.
     fn core_receive(&mut self, payload: &Payload) -> (CacheLine, u64) {
         let r = self.core_receive_inner(payload);
-        #[cfg(feature = "trace")]
-        if r.1 > 0 {
-            self.net.trace_record(disco_trace::Event::EndpointCodec {
-                site: disco_trace::site::CORE_RECEIVE,
-                cycles: r.1,
-            });
-        }
+        self.trace_endpoint_codec(disco_trace::site::CORE_RECEIVE, r.1);
         r
     }
 
@@ -569,7 +533,6 @@ impl System {
         for core in 0..nodes {
             self.issue_core(core);
         }
-        #[cfg(feature = "trace")]
         self.drain_trace_tick();
     }
 
@@ -577,9 +540,12 @@ impl System {
     /// network tracer into the provenance analyzer. Banks drain in index
     /// order, then DRAM — a fixed order, so the capture is byte-identical
     /// at any shard count. Draining every tick keeps the ring from ever
-    /// overflowing, making the capture lossless.
-    #[cfg(feature = "trace")]
+    /// overflowing, making the capture lossless. Untraced runs return
+    /// at once.
     fn drain_trace_tick(&mut self) {
+        let Some(ts) = &mut self.trace else {
+            return;
+        };
         for bank in &mut self.banks {
             for ev in bank.drain_trace() {
                 self.net.trace_record(ev);
@@ -588,8 +554,8 @@ impl System {
         for ev in self.dram.drain_trace() {
             self.net.trace_record(ev);
         }
-        if let Some(ts) = &mut self.trace {
-            let records = self.net.tracer_mut().drain();
+        if let Some(tracer) = self.net.tracer_mut() {
+            let records = tracer.drain();
             ts.analyzer.ingest_all(&records);
             if ts.retain {
                 ts.records.extend(records);
@@ -598,12 +564,12 @@ impl System {
     }
 
     /// Consumes the capture state into the report attachment.
-    #[cfg(feature = "trace")]
     fn finish_trace(&mut self) -> Option<crate::report::TraceCapture> {
         let state = self.trace.take()?;
+        let tracer = self.net.tracer();
         Some(crate::report::TraceCapture {
-            events: self.net.tracer().emitted(),
-            dropped: self.net.tracer().dropped(),
+            events: tracer.map_or(0, |t| t.emitted()),
+            dropped: tracer.map_or(0, |t| t.dropped()),
             provenance: state.analyzer.finish(),
             records: state.records,
         })
@@ -835,7 +801,6 @@ impl System {
                             }
                         );
                     }
-                    let _ = c;
                 }
                 self.dram.access(LineAddr(msg.line), now, true);
             }
@@ -1066,13 +1031,7 @@ impl System {
     /// Payload form for a dirty LLC eviction heading to DRAM.
     fn bank_evict_payload(&mut self, stored: &StoredLine) -> (Payload, u64) {
         let r = self.bank_evict_payload_inner(stored);
-        #[cfg(feature = "trace")]
-        if r.1 > 0 {
-            self.net.trace_record(disco_trace::Event::EndpointCodec {
-                site: disco_trace::site::BANK_EVICT,
-                cycles: r.1,
-            });
-        }
+        self.trace_endpoint_codec(disco_trace::site::BANK_EVICT, r.1);
         r
     }
 
@@ -1156,14 +1115,13 @@ impl System {
     /// # Errors
     ///
     /// [`SimError::DeadlineExceeded`] if the system does not drain within
-    /// the cycle budget; [`SimError::SilentCorruption`] (`faults` only)
-    /// if a corrupted delivery escaped detection.
+    /// the cycle budget; [`SimError::SilentCorruption`] if a corrupted
+    /// delivery escaped fault detection.
     pub fn run_to_completion(mut self) -> Result<SimReport, SimError> {
         self.step_until(u64::MAX)?;
         // Health rule: the fault layer may lose performance, never data.
         // A delivery whose payload differs from the pristine copy without
         // the checksum firing is silent corruption and fails the run.
-        #[cfg(feature = "faults")]
         if let Some(stats) = self.net.fault_stats() {
             if stats.undetected > 0 {
                 return Err(SimError::SilentCorruption {
@@ -1171,20 +1129,11 @@ impl System {
                 });
             }
         }
-        #[cfg(not(feature = "trace"))]
-        {
-            Ok(self.into_report())
-        }
-        #[cfg(feature = "trace")]
-        {
-            let capture = self.finish_trace();
-            let mut report = self.into_report();
-            report.trace = capture;
-            Ok(report)
-        }
+        Ok(self.into_report())
     }
 
-    fn into_report(self) -> SimReport {
+    fn into_report(mut self) -> SimReport {
+        let trace = self.finish_trace();
         let mut l1 = L1Stats::default();
         for t in &self.tiles {
             let s = t.l1.stats();
@@ -1214,7 +1163,6 @@ impl System {
         let net = *self.net.stats();
         // Fold the DRAM-side stall tally into the network-side ledger so
         // the report carries one complete FaultStats.
-        #[cfg(feature = "faults")]
         let faults = self.net.fault_stats().copied().map(|mut f| {
             f.dram_stall_cycles += self.dram.fault_stall_cycles();
             f
@@ -1257,10 +1205,8 @@ impl System {
             disco: disco_stats,
             energy_counts,
             energy,
-            #[cfg(feature = "faults")]
             faults,
-            #[cfg(feature = "trace")]
-            trace: None,
+            trace,
         }
     }
 }
@@ -1305,11 +1251,8 @@ pub struct SimBuilder {
     demote_override: Option<bool>,
     external_traces: Option<Vec<Vec<MemAccess>>>,
     prefetch_next_line: bool,
-    #[cfg(feature = "faults")]
     fault_plan: Option<disco_faults::FaultPlan>,
-    #[cfg(feature = "trace")]
     capture_trace: bool,
-    #[cfg(feature = "trace")]
     retain_trace_records: bool,
 }
 
@@ -1344,11 +1287,8 @@ impl SimBuilder {
             demote_override: None,
             external_traces: None,
             prefetch_next_line: false,
-            #[cfg(feature = "faults")]
             fault_plan: None,
-            #[cfg(feature = "trace")]
             capture_trace: false,
-            #[cfg(feature = "trace")]
             retain_trace_records: false,
         }
     }
@@ -1420,10 +1360,8 @@ impl SimBuilder {
         self
     }
 
-    /// Arms a deterministic fault schedule (`faults` only). An inactive
-    /// plan (all rates zero, no dead links) is equivalent to not calling
-    /// this at all.
-    #[cfg(feature = "faults")]
+    /// Arms a deterministic fault schedule. An inactive plan (all rates
+    /// zero, no dead links) is equivalent to not calling this at all.
     pub fn faults(mut self, plan: disco_faults::FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -1480,8 +1418,8 @@ impl SimBuilder {
     /// [`SimReport::trace`](crate::SimReport). Only the provenance
     /// aggregates are kept; use
     /// [`retain_trace_records`](SimBuilder::retain_trace_records) to also
-    /// keep the raw records for export.
-    #[cfg(feature = "trace")]
+    /// keep the raw records for export. Without it the network holds no
+    /// tracer and every emission site is a single branch.
     pub fn capture_trace(mut self, capture: bool) -> Self {
         self.capture_trace = capture;
         self
@@ -1490,7 +1428,6 @@ impl SimBuilder {
     /// Keeps every raw trace record in the report (implies
     /// [`capture_trace`](SimBuilder::capture_trace)), for the JSONL and
     /// Chrome trace exporters. Memory scales with the event count.
-    #[cfg(feature = "trace")]
     pub fn retain_trace_records(mut self, retain: bool) -> Self {
         self.retain_trace_records = retain;
         if retain {
@@ -1539,9 +1476,11 @@ impl SimBuilder {
         noc.scheduling.demote_uncompressed = self
             .demote_override
             .unwrap_or(self.placement == CompressionPlacement::Disco);
-        #[cfg(feature = "trace")]
         let pipeline_stages = noc.pipeline_stages;
-        let net = Network::new(topo, noc);
+        let mut net = Network::new(topo, noc);
+        if self.capture_trace {
+            net.set_trace_capacity(disco_trace::DEFAULT_CAPACITY);
+        }
         let profile = if self.scale_profile {
             self.profile.scaled_to(tiles_n)
         } else {
@@ -1559,24 +1498,12 @@ impl SimBuilder {
         };
         // The fault context needs the trained codec for its
         // decompress-and-verify checks, so it is armed only now.
-        #[cfg(feature = "faults")]
-        let net = {
-            let mut net = net;
-            if let Some(plan) = &self.fault_plan {
-                net.set_fault_plan(plan.clone(), codec.clone());
-            }
-            net
-        };
-        #[cfg(feature = "faults")]
-        let dram = {
-            let mut dram = Dram::new(self.dram);
-            if let Some(plan) = &self.fault_plan {
-                dram.set_fault_plan(plan.clone());
-            }
-            dram
-        };
-        #[cfg(not(feature = "faults"))]
-        let dram = Dram::new(self.dram);
+        let mut dram = Dram::new(self.dram);
+        dram.set_tracing(self.capture_trace);
+        if let Some(plan) = &self.fault_plan {
+            net.set_fault_plan(plan.clone(), codec.clone());
+            dram.set_fault_plan(plan.clone());
+        }
         let traces = match self.external_traces.clone() {
             Some(mut t) => {
                 assert!(
@@ -1608,7 +1535,11 @@ impl SimBuilder {
             ..self.bank
         };
         let banks = (0..tiles_n)
-            .map(|i| NucaBank::new(bank_cfg, i, tiles_n))
+            .map(|i| {
+                let mut bank = NucaBank::new(bank_cfg, i, tiles_n);
+                bank.set_tracing(self.capture_trace);
+                bank
+            })
             .collect();
         // One DISCO engine set per *router* (§3.2: the compressor sits in
         // the router), so a concentrated mesh shares an engine among its
@@ -1651,7 +1582,6 @@ impl SimBuilder {
             prefetch_next_line: self.prefetch_next_line,
             builder: this,
             max_cycles,
-            #[cfg(feature = "trace")]
             trace: self.capture_trace.then(|| TraceState {
                 analyzer: disco_trace::ProvenanceAnalyzer::new(pipeline_stages),
                 records: Vec::new(),
@@ -1666,22 +1596,6 @@ impl SimBuilder {
 // ---------------------------------------------------------------------------
 
 use disco_snapshot::{Snap, SnapError, SnapshotHeader, Writer};
-
-/// Bitmask of the cargo features that change the serialized state
-/// layout of a snapshot. `parallel` and `validate` are deliberately
-/// excluded: they only affect scratch structures that are never
-/// serialized, so snapshots are portable across those builds (and
-/// across `compute_shards` counts — sharding is runtime config).
-pub fn feature_fingerprint() -> u32 {
-    let mut f = 0;
-    if cfg!(feature = "trace") {
-        f |= 1;
-    }
-    if cfg!(feature = "faults") {
-        f |= 2;
-    }
-    f
-}
 
 disco_snapshot::snap_fields!(CodecOps {
     compressions,
@@ -1828,13 +1742,9 @@ impl Snap for SimBuilder {
         w.put(&self.demote_override);
         w.put(&self.external_traces);
         w.put(&self.prefetch_next_line);
-        #[cfg(feature = "faults")]
         w.put(&self.fault_plan);
-        #[cfg(feature = "trace")]
-        {
-            w.put(&self.capture_trace);
-            w.put(&self.retain_trace_records);
-        }
+        w.put(&self.capture_trace);
+        w.put(&self.retain_trace_records);
     }
 
     fn restore(r: &mut disco_snapshot::Reader<'_>) -> Result<Self, SnapError> {
@@ -1859,11 +1769,8 @@ impl Snap for SimBuilder {
             demote_override: r.take()?,
             external_traces: r.take()?,
             prefetch_next_line: r.take()?,
-            #[cfg(feature = "faults")]
             fault_plan: r.take()?,
-            #[cfg(feature = "trace")]
             capture_trace: r.take()?,
-            #[cfg(feature = "trace")]
             retain_trace_records: r.take()?,
         })
     }
@@ -1902,15 +1809,14 @@ impl SimBuilder {
 
 impl System {
     /// Serializes the complete mutable simulator state, prefixed with
-    /// the versioned, feature-fingerprinted header and the builder the
-    /// system was constructed from. Restoring the bytes with
+    /// the versioned header and the builder the system was constructed
+    /// from. Restoring the bytes with
     /// [`System::restore`] and continuing is byte-identical to never
     /// having paused.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = Writer::new();
         SnapshotHeader {
             version: disco_snapshot::FORMAT_VERSION,
-            fingerprint: feature_fingerprint(),
         }
         .write(&mut w);
         w.put(&self.builder);
@@ -1924,7 +1830,7 @@ impl System {
     /// # Errors
     ///
     /// The snapshot variants of [`SimError`]: truncated stream, version
-    /// or feature-fingerprint mismatch, or structurally invalid bytes.
+    /// mismatch, or structurally invalid bytes.
     /// No partial restores: any error leaves nothing behind.
     pub fn restore(bytes: &[u8]) -> Result<System, SimError> {
         Self::restore_inner(bytes, None)
@@ -1945,14 +1851,7 @@ impl System {
 
     fn restore_inner(bytes: &[u8], requested: Option<&SimBuilder>) -> Result<System, SimError> {
         let mut r = disco_snapshot::Reader::new(bytes);
-        let header = SnapshotHeader::read(&mut r)?;
-        let expected = feature_fingerprint();
-        if header.fingerprint != expected {
-            return Err(SimError::SnapshotFeatureMismatch {
-                found: header.fingerprint,
-                expected,
-            });
-        }
+        SnapshotHeader::read(&mut r)?;
         let builder: SimBuilder = r.take()?;
         if let Some(req) = requested {
             builder.check_matches(req)?;
@@ -2011,7 +1910,6 @@ impl System {
         w.snap_map(&self.fill_penalty);
         w.put(&self.compression);
         w.put(&self.codec_ops);
-        #[cfg(feature = "trace")]
         match &self.trace {
             Some(ts) => {
                 w.put(&true);
@@ -2095,23 +1993,20 @@ impl System {
         self.fill_penalty = r.restore_map()?;
         self.compression = r.take()?;
         self.codec_ops = r.take()?;
-        #[cfg(feature = "trace")]
-        {
-            let has_trace: bool = r.take()?;
-            match (self.trace.as_mut(), has_trace) {
-                (Some(ts), true) => {
-                    ts.analyzer = r.take()?;
-                    ts.records = r.take()?;
-                    ts.retain = r.take()?;
-                }
-                (None, false) => {}
-                (have, want) => {
-                    return Err(disco_snapshot::malformed(format!(
-                        "snapshot {} trace capture but the rebuilt system {}",
-                        if want { "has" } else { "lacks" },
-                        if have.is_some() { "has it" } else { "lacks it" },
-                    )));
-                }
+        let has_trace: bool = r.take()?;
+        match (self.trace.as_mut(), has_trace) {
+            (Some(ts), true) => {
+                ts.analyzer = r.take()?;
+                ts.records = r.take()?;
+                ts.retain = r.take()?;
+            }
+            (None, false) => {}
+            (have, want) => {
+                return Err(disco_snapshot::malformed(format!(
+                    "snapshot {} trace capture but the rebuilt system {}",
+                    if want { "has" } else { "lacks" },
+                    if have.is_some() { "has it" } else { "lacks it" },
+                )));
             }
         }
         Ok(())
@@ -2187,7 +2082,6 @@ mod tests {
         assert!(r.avg_onchip_latency() > 0.0);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn trace_capture_is_lossless_and_exact() {
         let report = SimBuilder::new()
@@ -2213,7 +2107,6 @@ mod tests {
         );
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn uncaptured_runs_report_no_trace() {
         let r = tiny(CompressionPlacement::Disco);
@@ -2265,8 +2158,6 @@ mod tests {
             .max_cycles(50)
             .run()
             .expect_err("cannot drain in 50 cycles");
-        // Irrefutable without `faults` (the enum then has one variant).
-        #[allow(irrefutable_let_patterns)]
         let SimError::DeadlineExceeded {
             max_cycles,
             outstanding,
@@ -2333,7 +2224,6 @@ mod tests {
         assert!(tiny(CompressionPlacement::Baseline).disco.is_none());
     }
 
-    #[cfg(feature = "faults")]
     fn faulty(placement: CompressionPlacement, rate: f64) -> SimReport {
         SimBuilder::new()
             .mesh(2, 2)
@@ -2346,7 +2236,6 @@ mod tests {
             .expect("faulty run drains")
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn rate_zero_plan_matches_fault_free_run() {
         let clean = tiny(CompressionPlacement::Disco);
@@ -2365,7 +2254,6 @@ mod tests {
         assert_eq!(clean.network, armed.network);
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn faulty_runs_recover_everything_and_reconcile() {
         for placement in [CompressionPlacement::Baseline, CompressionPlacement::Disco] {
@@ -2384,7 +2272,6 @@ mod tests {
     /// detected-and-recovered without a retransmission — flips are the
     /// only kind armed here, so any detection beyond the retry count is
     /// a settled masked fault, and the ledger must still reconcile.
-    #[cfg(feature = "faults")]
     #[test]
     fn masked_bit_flips_settle_at_ejection() {
         let plan = disco_faults::FaultPlan {
@@ -2493,7 +2380,6 @@ mod tests {
         assert!(System::restore_with(&bytes, &builder).is_ok());
     }
 
-    #[cfg(feature = "faults")]
     #[test]
     fn fault_stats_reach_the_stats_file() {
         let r = faulty(CompressionPlacement::Disco, 1e-4);

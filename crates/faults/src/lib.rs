@@ -9,9 +9,9 @@
 //! kernel's compute phase is sharded (`compute_shards` ∈ {1, 4, 16, …})
 //! and no matter in which order sites consult it within a cycle.
 //!
-//! The crate is dependency-free and always compiled; the simulator wires
-//! it into the cycle kernel only under the `faults` cargo feature of the
-//! consuming crates (`disco-noc` / `disco-core` / `disco-cache`).
+//! The crate is dependency-free. The simulator consults a plan only when
+//! a run arms one (`SimBuilder::faults`, `Network::set_fault_plan`);
+//! without a plan every fault hook is a single `Option` check.
 //!
 //! Three pieces live here:
 //!
@@ -217,7 +217,7 @@ impl FaultPlan {
     /// Whether this plan can inject anything at all. An inactive plan
     /// must behave exactly like no plan: the simulator skips the whole
     /// fault machinery for it, which is what makes a rate-0 run
-    /// byte-identical to a `faults`-off build.
+    /// byte-identical to a run with no plan.
     pub fn is_active(&self) -> bool {
         FaultKind::ALL.iter().any(|&k| self.rate(k) > 0.0) || !self.dead_links.is_empty()
     }

@@ -63,8 +63,9 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
     // Cycle-stamp this router's compute-phase events here, in node
     // order: the trace byte-stream is then independent of how the
     // compute phase was scheduled across shards.
-    #[cfg(feature = "trace")]
-    net.tracer.record_all(&outcome.events);
+    if let Some(tracer) = &mut net.tracer {
+        tracer.record_all(&outcome.events);
+    }
     for dep in &outcome.departures {
         // Return a credit upstream for the freed slot: the topology's
         // input-source table names the upstream router and its output
@@ -77,7 +78,6 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
         // Fault hook: an injected drop (or a failed ejection-time
         // integrity check) eats the flit here — after the upstream
         // credit return, instead of link delivery or ejection.
-        #[cfg(feature = "faults")]
         if crate::faults::intercept_departure(net, i, dep) {
             continue;
         }
@@ -89,7 +89,7 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
                     .unwrap_or(NodeId(i));
                 net.delivered[tile.0].push(dep.flit.packet);
                 disco_trace::emit!(
-                    net.tracer,
+                    net,
                     disco_trace::Event::Eject {
                         packet: dep.flit.packet.0,
                         node: tile.0 as u16,
@@ -111,7 +111,6 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
         }
     }
     net.stats.accumulate(&outcome.stats);
-    #[cfg(feature = "faults")]
     if let Some(ctx) = net.faults.as_mut() {
         ctx.stats.port_stall_cycles += outcome.fault_port_stalls;
     }

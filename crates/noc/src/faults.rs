@@ -2,11 +2,12 @@
 //!
 //! The machinery splits along the cycle kernel's compute/commit line:
 //!
-//! - [`FaultGate`] is the *compute-side* view — a read-only handle on
+//! - [`PhaseGate`] is the *compute-side* view — a read-only handle on
 //!   the active [`disco_faults::FaultPlan`] that the pure per-router
 //!   phase consults for fault-aware routing (dead-link escapes) and
-//!   port-stall windows. It mutates nothing, so the compute phase stays
-//!   shardable and byte-identical at any worker count.
+//!   port-stall windows, plus whether the tracer is on. It mutates
+//!   nothing, so the compute phase stays shardable and byte-identical
+//!   at any worker count.
 //! - [`FaultCtx`] is the *commit-side* state — pristine-payload records
 //!   for end-to-end checksums, the black-hole set of packets being
 //!   dropped, and the deterministic retransmission queue. It is touched
@@ -21,7 +22,7 @@
 //! to [`disco_faults::FaultPlan::max_retries`] attempts; exhaustion
 //! counts the transfer's faults as unrecoverable. Corrupted compressor
 //! outputs are caught earlier by decompress-and-verify at the engine
-//! ([`Network::fault_codec_output`]) and recovered by falling back to
+//! ([`Network::codec_output_faulted`]) and recovered by falling back to
 //! uncompressed delivery. A fault can also be *masked* in flight — a
 //! bit flip erased when an in-network codec commit overwrites the
 //! payload it had already consumed — in which case the clean ejection
@@ -38,40 +39,24 @@
 use crate::network::Network;
 use crate::topology::{NodeId, PortId, Topology};
 
-#[cfg(feature = "faults")]
 use crate::packet::{Packet, PacketClass, PacketId, Payload};
-#[cfg(feature = "faults")]
 use crate::phase::Departure;
-#[cfg(feature = "faults")]
 use disco_compress::scheme::Compressor;
-#[cfg(feature = "faults")]
 use disco_faults::{site, FaultKind, FaultPlan, FaultStats};
-#[cfg(feature = "faults")]
 use std::collections::{BTreeMap, HashMap};
 
-/// Read-only fault view for the pure compute phase. Always compiled so
-/// [`crate::phase::compute_router`] has a stable signature; with the
-/// `faults` feature off (or no active plan) every method is the identity
-/// and the kernel is byte-identical to an unfaulted build.
+/// Read-only view of the network's optional observers for the pure
+/// compute phase: the active fault plan and whether the tracer is on.
+/// With no plan every fault method is the identity, and the kernel is
+/// byte-identical to an unfaulted run.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FaultGate<'a> {
-    #[cfg(feature = "faults")]
+pub(crate) struct PhaseGate<'a> {
     pub(crate) plan: Option<&'a FaultPlan>,
-    #[cfg(not(feature = "faults"))]
-    _inert: std::marker::PhantomData<&'a ()>,
+    /// Whether compute-phase trace events are recorded this cycle.
+    pub(crate) tracing: bool,
 }
 
-impl<'a> FaultGate<'a> {
-    /// An inert gate (no plan).
-    pub(crate) fn inert() -> Self {
-        FaultGate {
-            #[cfg(feature = "faults")]
-            plan: None,
-            #[cfg(not(feature = "faults"))]
-            _inert: std::marker::PhantomData,
-        }
-    }
-
+impl PhaseGate<'_> {
     /// Applies fault-aware escape routing on top of the primary route
     /// decision: packets steer around configured dead links where a
     /// deadlock-free detour exists for the topology (see
@@ -83,7 +68,6 @@ impl<'a> FaultGate<'a> {
         dst: NodeId,
         primary: PortId,
     ) -> PortId {
-        #[cfg(feature = "faults")]
         if let Some(plan) = self.plan {
             if !plan.dead_links.is_empty() {
                 return crate::routing::escape_route(topo, here, dst, primary, |n, p| {
@@ -91,14 +75,12 @@ impl<'a> FaultGate<'a> {
                 });
             }
         }
-        let _ = (topo, here, dst);
         primary
     }
 
     /// True when the output port `out` of router `node` refuses to drive
     /// flits this cycle: an injected port-stall window or a flaky-link
     /// outage window.
-    #[cfg(feature = "faults")]
     pub(crate) fn output_blocked(&self, now: u64, node: usize, out: usize) -> bool {
         let Some(plan) = self.plan else {
             return false;
@@ -109,7 +91,6 @@ impl<'a> FaultGate<'a> {
 }
 
 /// Pristine-payload record kept from NI injection to final resolution.
-#[cfg(feature = "faults")]
 #[derive(Debug, Clone)]
 struct PristineRecord {
     /// The payload exactly as handed to [`Network::send`].
@@ -126,7 +107,6 @@ struct PristineRecord {
 }
 
 /// One scheduled NI retransmission, queued until its due cycle.
-#[cfg(feature = "faults")]
 #[derive(Debug, Clone)]
 struct Retransmit {
     src: NodeId,
@@ -143,7 +123,6 @@ struct Retransmit {
 /// Commit-side fault state: the active plan, the verification codec,
 /// accounting, and the recovery queues. Lives in [`Network`] only while
 /// a plan with a non-zero schedule is installed.
-#[cfg(feature = "faults")]
 #[derive(Debug)]
 pub(crate) struct FaultCtx {
     pub(crate) plan: FaultPlan,
@@ -167,7 +146,6 @@ pub(crate) struct FaultCtx {
 /// end-to-end checksum covers, invariant under lossless in-network
 /// de/compression. An encoding the codec cannot decode hashes its raw
 /// encoded bytes instead (consistently on both ends).
-#[cfg(feature = "faults")]
 fn logical_bytes(codec: &disco_compress::Codec, payload: &Payload) -> Vec<u8> {
     match payload {
         Payload::None => Vec::new(),
@@ -179,7 +157,6 @@ fn logical_bytes(codec: &disco_compress::Codec, payload: &Payload) -> Vec<u8> {
     }
 }
 
-#[cfg(feature = "faults")]
 impl FaultCtx {
     pub(crate) fn new(plan: FaultPlan, codec: disco_compress::Codec) -> Self {
         FaultCtx {
@@ -252,7 +229,7 @@ impl FaultCtx {
                 rec.pending += 1;
             }
             disco_trace::emit!(
-                net.tracer,
+                net,
                 disco_trace::Event::FaultInject {
                     kind: FaultKind::LinkDrop.code(),
                     packet: id.0,
@@ -285,7 +262,7 @@ impl FaultCtx {
                     rec.pending += 1;
                 }
                 disco_trace::emit!(
-                    net.tracer,
+                    net,
                     disco_trace::Event::FaultInject {
                         kind: FaultKind::PayloadBitFlip.code(),
                         packet: id.0,
@@ -303,8 +280,6 @@ impl FaultCtx {
     /// detected here); a corrupted one is eaten and retransmitted.
     /// Returns true when the packet was eaten.
     fn handle_ejection(&mut self, net: &mut Network, node: usize, dep: &Departure) -> bool {
-        // `node` feeds the trace events only.
-        let _ = node;
         if !dep.flit.kind.is_tail() {
             return false;
         }
@@ -343,7 +318,7 @@ impl FaultCtx {
         };
         self.stats.detected += u64::from(rec.pending);
         disco_trace::emit!(
-            net.tracer,
+            net,
             disco_trace::Event::FaultDetect {
                 kind: FaultKind::PayloadBitFlip.code(),
                 packet: id.0,
@@ -365,8 +340,6 @@ impl FaultCtx {
     /// (modelling the NI loss timeout, collapsed to the deterministic
     /// drop-completion point) and handed to recovery.
     fn finish_drop(&mut self, net: &mut Network, node: usize, id: PacketId) {
-        // `node` feeds the trace events only.
-        let _ = node;
         let rec = match self.pristine.remove(&id.0) {
             Some(r) => r,
             // Drops are only injected on packets with records.
@@ -374,7 +347,7 @@ impl FaultCtx {
         };
         self.stats.detected += u64::from(rec.pending);
         disco_trace::emit!(
-            net.tracer,
+            net,
             disco_trace::Event::FaultDetect {
                 kind: FaultKind::LinkDrop.code(),
                 packet: id.0,
@@ -417,7 +390,6 @@ impl FaultCtx {
 /// Returns true when the flit was eaten and the normal Local/link
 /// handling must be skipped (the upstream credit return has already
 /// happened either way).
-#[cfg(feature = "faults")]
 pub(crate) fn intercept_departure(net: &mut Network, node: usize, dep: &Departure) -> bool {
     let Some(mut ctx) = net.faults.take() else {
         return false;
@@ -433,7 +405,6 @@ pub(crate) fn intercept_departure(net: &mut Network, node: usize, dep: &Departur
 
 /// Tick-start hook: re-sends every retransmission whose backoff expired,
 /// carrying the transfer's fault ledger onto the replacement packet.
-#[cfg(feature = "faults")]
 pub(crate) fn drain_retransmits(net: &mut Network) {
     let now = net.now;
     let mut due: Vec<Retransmit> = Vec::new();
@@ -465,7 +436,7 @@ pub(crate) fn drain_retransmits(net: &mut Network) {
             }
         }
         disco_trace::emit!(
-            net.tracer,
+            net,
             disco_trace::Event::Retransmit {
                 packet: id.0,
                 attempt: r.resends,
@@ -475,27 +446,20 @@ pub(crate) fn drain_retransmits(net: &mut Network) {
 }
 
 impl Network {
-    /// The read-only fault view the compute phase consults. Inert when
-    /// no plan is active (and in `faults`-off builds).
-    pub(crate) fn fault_gate(&self) -> FaultGate<'_> {
-        #[allow(unused_mut)]
-        let mut gate = FaultGate::inert();
-        #[cfg(feature = "faults")]
-        {
-            gate.plan = self.faults.as_ref().map(|ctx| &ctx.plan);
+    /// The read-only view the compute phase consults.
+    pub(crate) fn phase_gate(&self) -> PhaseGate<'_> {
+        PhaseGate {
+            plan: self.faults.as_ref().map(|ctx| &ctx.plan),
+            tracing: self.tracer.is_some(),
         }
-        gate
     }
-}
 
-#[cfg(feature = "faults")]
-impl Network {
     /// Installs a fault plan (and the codec its integrity checks verify
     /// against). A plan with an all-zero schedule is discarded outright,
-    /// which keeps rate-0 runs byte-identical to a `faults`-off build.
+    /// which keeps rate-0 runs byte-identical to a run with no plan.
     pub fn set_fault_plan(&mut self, plan: FaultPlan, codec: disco_compress::Codec) {
         self.faults = if plan.is_active() {
-            Some(FaultCtx::new(plan, codec))
+            Some(Box::new(FaultCtx::new(plan, codec)))
         } else {
             None
         };
@@ -507,38 +471,36 @@ impl Network {
     }
 
     /// Engine-side hook: possibly corrupts a compressor's output, then
-    /// decompress-and-verifies it. Returns the encoding to commit, or
-    /// `None` when verification failed and the engine must fall back to
-    /// uncompressed delivery (counted as a recovered fault).
-    pub fn fault_codec_output(
+    /// decompress-and-verifies it. Returns `true` when verification
+    /// failed and the engine must fall back to uncompressed delivery
+    /// (counted as a recovered fault); `false` commits `enc` unchanged.
+    pub fn codec_output_faulted(
         &mut self,
         node: NodeId,
         packet: PacketId,
-        enc: disco_compress::CompressedLine,
-    ) -> Option<disco_compress::CompressedLine> {
-        // `packet` feeds the trace events only.
-        let _ = packet;
+        enc: &disco_compress::CompressedLine,
+    ) -> bool {
         let now = self.now;
         let Some(ctx) = self.faults.as_mut() else {
-            return Some(enc);
+            return false;
         };
         let s = site::codec(node.0);
         if !ctx.plan.fires(FaultKind::CodecCorruption, now, s) || enc.data().is_empty() {
-            return Some(enc);
+            return false;
         }
         let draw = ctx.plan.draw(FaultKind::CodecCorruption, now, s ^ 0xc0dec);
         let mut data = enc.data().to_vec();
         let idx = (draw as usize) % data.len();
         data[idx] ^= 1 << ((draw >> 32) % 8);
         let corrupted = disco_compress::CompressedLine::new(enc.scheme(), data, enc.size_bits());
-        let intact = match (ctx.codec.decompress(&corrupted), ctx.codec.decompress(&enc)) {
+        let intact = match (ctx.codec.decompress(&corrupted), ctx.codec.decompress(enc)) {
             (Ok(a), Ok(b)) => a == b,
             _ => false,
         };
         if intact {
             // The flipped bit landed in encoding slack: the output is
             // semantically identical, so nothing was corrupted.
-            return Some(enc);
+            return false;
         }
         ctx.stats.injected += 1;
         ctx.stats.codec_corruptions += 1;
@@ -546,7 +508,7 @@ impl Network {
         ctx.stats.recovered += 1;
         ctx.stats.fallback_deliveries += 1;
         disco_trace::emit!(
-            self.tracer,
+            self,
             disco_trace::Event::FaultInject {
                 kind: FaultKind::CodecCorruption.code(),
                 packet: packet.0,
@@ -554,7 +516,7 @@ impl Network {
             }
         );
         disco_trace::emit!(
-            self.tracer,
+            self,
             disco_trace::Event::FaultDetect {
                 kind: FaultKind::CodecCorruption.code(),
                 packet: packet.0,
@@ -562,18 +524,17 @@ impl Network {
             }
         );
         disco_trace::emit!(
-            self.tracer,
+            self,
             disco_trace::Event::FaultFallback {
                 packet: packet.0,
                 node: node.0 as u16,
             }
         );
-        None
+        true
     }
 }
 
 #[cfg(test)]
-#[cfg(feature = "faults")]
 mod tests {
     use super::*;
     use crate::config::NocConfig;
@@ -894,7 +855,7 @@ mod tests {
             0,
         );
         assert!(
-            net.fault_codec_output(NodeId(0), id, enc).is_none(),
+            net.codec_output_faulted(NodeId(0), id, &enc),
             "rate-1 corruption must force the fallback"
         );
         let stats = *net.fault_stats().expect("plan active");
@@ -908,7 +869,6 @@ mod tests {
 // Checkpointing (see crates/snapshot/manifest.txt)
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "faults")]
 disco_snapshot::snap_fields!(PristineRecord {
     payload,
     checksum,
@@ -917,7 +877,6 @@ disco_snapshot::snap_fields!(PristineRecord {
     resends,
 });
 
-#[cfg(feature = "faults")]
 disco_snapshot::snap_fields!(Retransmit {
     src,
     dst,
@@ -930,7 +889,6 @@ disco_snapshot::snap_fields!(Retransmit {
     resends,
 });
 
-#[cfg(feature = "faults")]
 impl FaultCtx {
     /// Writes the recovery-side mutable state. The plan and the
     /// verification codec are rebuilt from the builder config on

@@ -49,7 +49,6 @@ pub mod topology;
 pub mod traffic;
 
 pub use config::{FlowControl, NocConfig, SchedulingPolicy};
-#[cfg(feature = "faults")]
 pub use disco_faults::{FaultKind, FaultPlan, FaultStats};
 pub use health::{StallInfo, StallReason};
 pub use network::{Network, MAX_PACKET_FLITS};

@@ -82,16 +82,16 @@ pub struct Network {
     /// path must not pay any pool cost, not even an idle thread.
     #[cfg(feature = "parallel")]
     pool: Option<crate::pool::WorkerPool>,
-    /// Cycle-stamped trace event collector. Fed only from the serial
+    /// Cycle-stamped trace event collector, present only while tracing
+    /// is on ([`Network::set_trace_capacity`]). Fed only from the serial
     /// paths (NI injection, the commit pass), so its byte stream is
     /// independent of the compute-phase shard count.
-    #[cfg(feature = "trace")]
-    pub(crate) tracer: disco_trace::Tracer,
+    pub(crate) tracer: Option<disco_trace::Tracer>,
     /// Commit-side fault injection/recovery state, present only while a
     /// plan with a non-zero schedule is installed
-    /// ([`Network::set_fault_plan`]).
-    #[cfg(feature = "faults")]
-    pub(crate) faults: Option<crate::faults::FaultCtx>,
+    /// ([`Network::set_fault_plan`]). Boxed so the commit pass's
+    /// per-departure `take`/put-back moves a pointer, not the context.
+    pub(crate) faults: Option<Box<crate::faults::FaultCtx>>,
 }
 
 /// Resolves [`NocConfig::compute_shards`] against the host and network
@@ -170,9 +170,7 @@ impl Network {
             } else {
                 None
             },
-            #[cfg(feature = "trace")]
-            tracer: disco_trace::Tracer::default(),
-            #[cfg(feature = "faults")]
+            tracer: None,
             faults: None,
         }
     }
@@ -249,31 +247,49 @@ impl Network {
         &self.stats
     }
 
-    /// Read access to the trace event collector.
-    #[cfg(feature = "trace")]
-    pub fn tracer(&self) -> &disco_trace::Tracer {
-        &self.tracer
+    /// Read access to the trace event collector (`None` while tracing
+    /// is off).
+    pub fn tracer(&self) -> Option<&disco_trace::Tracer> {
+        self.tracer.as_ref()
     }
 
     /// Mutable access to the trace collector: harnesses drain it once
     /// per cycle for lossless capture.
-    #[cfg(feature = "trace")]
-    pub fn tracer_mut(&mut self) -> &mut disco_trace::Tracer {
-        &mut self.tracer
+    pub fn tracer_mut(&mut self) -> Option<&mut disco_trace::Tracer> {
+        self.tracer.as_mut()
+    }
+
+    /// True while a tracer is attached — the check
+    /// [`disco_trace::emit!`] makes before building an event.
+    pub fn is_tracing(&self) -> bool {
+        self.tracer.is_some()
     }
 
     /// Records one event at the current cycle — the sink surface
-    /// [`disco_trace::emit!`] uses from the layers above the NoC
-    /// (codec engines, endpoint codecs).
-    #[cfg(feature = "trace")]
+    /// [`disco_trace::emit!`] uses from the NoC and the layers above it
+    /// (codec engines, endpoint codecs). A no-op while tracing is off.
     pub fn trace_record(&mut self, event: disco_trace::Event) {
-        self.tracer.trace_record(event);
+        if let Some(tracer) = &mut self.tracer {
+            tracer.trace_record(event);
+        }
     }
 
-    /// Re-bounds the trace ring buffer (drop-oldest beyond `capacity`).
-    #[cfg(feature = "trace")]
+    /// Turns tracing on with a drop-oldest ring of `capacity` records,
+    /// re-bounds the ring if tracing is already on, or — with
+    /// `capacity == 0` — turns tracing off and frees the ring.
     pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.tracer.set_capacity(capacity);
+        if capacity == 0 {
+            self.tracer = None;
+            return;
+        }
+        match &mut self.tracer {
+            Some(tracer) => tracer.set_capacity(capacity),
+            None => {
+                let mut tracer = disco_trace::Tracer::with_capacity(capacity);
+                tracer.set_cycle(self.now);
+                self.tracer = Some(tracer);
+            }
+        }
     }
 
     /// Test-only mutable counters (e.g. staging a routing violation for
@@ -326,7 +342,7 @@ impl Network {
         self.inject_q[src.0][vc].push_back(id);
         self.stats.packets_injected += 1;
         disco_trace::emit!(
-            self.tracer,
+            self,
             disco_trace::Event::Inject {
                 packet: id.0,
                 src: src.0 as u16,
@@ -335,7 +351,6 @@ impl Network {
                 flits: self.store.get(id).size_flits() as u8,
             }
         );
-        #[cfg(feature = "faults")]
         if let Some(ctx) = self.faults.as_mut() {
             ctx.on_send(id, &self.store);
         }
@@ -352,7 +367,6 @@ impl Network {
     /// True when no packet is queued, in flight, or awaiting pickup, and
     /// no fault recovery (retransmission, in-progress drop) is pending.
     pub fn is_idle(&self) -> bool {
-        #[cfg(feature = "faults")]
         if let Some(ctx) = &self.faults {
             if !ctx.quiescent() {
                 return false;
@@ -411,9 +425,9 @@ impl Network {
     pub fn tick(&mut self) {
         self.now += 1;
         self.stats.cycles += 1;
-        #[cfg(feature = "trace")]
-        self.tracer.set_cycle(self.now);
-        #[cfg(feature = "faults")]
+        if let Some(tracer) = &mut self.tracer {
+            tracer.set_cycle(self.now);
+        }
         crate::faults::drain_retransmits(self);
         self.inject();
         // Detach the arenas from `self` so the compute phase can borrow
@@ -438,7 +452,7 @@ impl Network {
             self.compute_phase_sharded(slots);
             return;
         }
-        let gate = self.fault_gate();
+        let gate = self.phase_gate();
         let slot = match slots[0].get_mut() {
             Ok(slot) => slot,
             Err(poisoned) => poisoned.into_inner(),
@@ -465,7 +479,7 @@ impl Network {
     #[cfg(feature = "parallel")]
     fn compute_phase_sharded(&self, slots: &mut [Mutex<ShardSlot>]) {
         let now = self.now;
-        let gate = self.fault_gate();
+        let gate = self.phase_gate();
         let slots: &[Mutex<ShardSlot>] = slots;
         self.run_sharded(&|shard| {
             let span = self.shard_span(shard);
@@ -513,7 +527,7 @@ impl Network {
                             total,
                         });
                         disco_trace::emit!(
-                            self.tracer,
+                            self,
                             disco_trace::Event::NiStart {
                                 packet: id.0,
                                 node: tile as u16,
@@ -536,7 +550,7 @@ impl Network {
                 } else {
                     self.inject_progress[tile][vc] = None;
                     disco_trace::emit!(
-                        self.tracer,
+                        self,
                         disco_trace::Event::NiDone {
                             packet: prog.packet.0,
                             node: tile as u16,
@@ -669,6 +683,27 @@ mod tests {
         assert_eq!(got[0].tag, 9);
         assert!(n.is_idle());
         assert_eq!(n.stats().packets_delivered, 1);
+    }
+
+    #[test]
+    fn trace_capacity_switches_the_tracer_on_and_off() {
+        let mut n = net(4, 4);
+        assert!(n.tracer().is_none(), "a new network holds no tracer");
+        n.set_trace_capacity(64);
+        n.send(
+            NodeId(0),
+            NodeId(15),
+            PacketClass::Request,
+            Payload::None,
+            false,
+            9,
+        );
+        run_until_delivered(&mut n, NodeId(15), 200);
+        let tracer = n.tracer().expect("capacity > 0 attaches a tracer");
+        assert_eq!(tracer.capacity(), 64);
+        assert!(tracer.emitted() > 0, "inject, NI and hop events recorded");
+        n.set_trace_capacity(0);
+        assert!(n.tracer().is_none(), "capacity 0 turns tracing off");
     }
 
     #[test]
@@ -1158,8 +1193,8 @@ disco_snapshot::snap_fields!(InjectProgress {
 impl Network {
     /// Writes the network's complete mutable state: every router's VC
     /// arenas and credits, the packet store, the NI injection queues,
-    /// delivery queues, counters, and (when the features are on) the
-    /// trace ring and the fault-recovery ledger. The topology, config,
+    /// delivery queues, counters, and (when they are on) the trace ring
+    /// and the fault-recovery ledger. The topology, config,
     /// and the parallel compute arenas (`scratch`, `shards`, `pool`) are
     /// rebuilt from config on restore.
     pub fn snap_state(&self, w: &mut disco_snapshot::Writer) {
@@ -1174,14 +1209,10 @@ impl Network {
         w.put(&self.delivered);
         w.put(&self.stats);
         w.put(&self.now);
-        #[cfg(feature = "trace")]
         w.put(&self.tracer);
-        #[cfg(feature = "faults")]
-        {
-            w.put(&self.faults.is_some());
-            if let Some(ctx) = &self.faults {
-                ctx.snap_state(w);
-            }
+        w.put(&self.faults.is_some());
+        if let Some(ctx) = &self.faults {
+            ctx.snap_state(w);
         }
     }
 
@@ -1217,22 +1248,16 @@ impl Network {
         self.delivered = r.take()?;
         self.stats = r.take()?;
         self.now = r.take()?;
-        #[cfg(feature = "trace")]
-        {
-            self.tracer = r.take()?;
-        }
-        #[cfg(feature = "faults")]
-        {
-            let has_faults: bool = r.take()?;
-            match (&mut self.faults, has_faults) {
-                (Some(ctx), true) => ctx.restore_state(r)?,
-                (None, false) => {}
-                (have, want) => {
-                    return Err(disco_snapshot::malformed(format!(
-                        "snapshot fault state present={want}, rebuilt network armed={}",
-                        have.is_some()
-                    )))
-                }
+        self.tracer = r.take()?;
+        let has_faults: bool = r.take()?;
+        match (&mut self.faults, has_faults) {
+            (Some(ctx), true) => ctx.restore_state(r)?,
+            (None, false) => {}
+            (have, want) => {
+                return Err(disco_snapshot::malformed(format!(
+                    "snapshot fault state present={want}, rebuilt network armed={}",
+                    have.is_some()
+                )))
             }
         }
         Ok(())

@@ -62,19 +62,20 @@ pub(crate) struct RouterOutcome {
     /// Trace events decided this cycle, in stage order. Carried out of
     /// the pure compute phase and cycle-stamped by the commit pass in
     /// node order, which keeps the trace shard-count invariant.
-    #[cfg(feature = "trace")]
+    /// Records only while the network is tracing, so it stays empty
+    /// (and unallocated) otherwise.
     pub events: disco_trace::EventList,
     /// Output-port arbitration rounds forfeited to an injected port
     /// stall or flaky-link outage this cycle; folded into
     /// `FaultStats::port_stall_cycles` by the commit pass.
-    #[cfg(feature = "faults")]
     pub fault_port_stalls: u64,
 }
 
 impl RouterOutcome {
-    /// Clears per-cycle contents while retaining every allocation, and
-    /// seeds the round-robin pointers from the router snapshot.
-    fn reset(&mut self, rr_sa: &[usize]) {
+    /// Clears per-cycle contents while retaining every allocation,
+    /// seeds the round-robin pointers from the router snapshot, and
+    /// switches event recording to match the network's tracer.
+    fn reset(&mut self, rr_sa: &[usize], tracing: bool) {
         self.routes.clear();
         self.grants.clear();
         self.departures.clear();
@@ -82,12 +83,9 @@ impl RouterOutcome {
         self.rr_sa.clear();
         self.rr_sa.extend_from_slice(rr_sa);
         self.stats = NetworkStats::new();
-        #[cfg(feature = "trace")]
-        self.events.0.clear();
-        #[cfg(feature = "faults")]
-        {
-            self.fault_port_stalls = 0;
-        }
+        self.events.clear();
+        self.events.set_tracing(tracing);
+        self.fault_port_stalls = 0;
     }
 }
 
@@ -139,11 +137,11 @@ pub(crate) fn compute_router(
     now: u64,
     store: &PacketStore,
     topo: &Topology,
-    gate: crate::faults::FaultGate<'_>,
+    gate: crate::faults::PhaseGate<'_>,
     scratch: &mut ComputeScratch,
     out: &mut RouterOutcome,
 ) {
-    out.reset(&router.rr_sa);
+    out.reset(&router.rr_sa, gate.tracing);
     // Idle fast path: with no buffered flit there is no RC candidate, no
     // VA-eligible VC with a front packet, no SA candidate, and no VA
     // loser — the stage loops below would decide nothing. On big meshes
@@ -310,7 +308,6 @@ pub(crate) fn compute_router(
         // this output's arbitration round outright: every candidate
         // idles — and, like any SA loser, becomes a DISCO compression
         // candidate.
-        #[cfg(feature = "faults")]
         if !candidates.is_empty()
             && !router.is_local_port(outdir)
             && gate.output_blocked(now, router.node.0, oi)
@@ -387,7 +384,6 @@ pub(crate) fn compute_router(
         // Traverse events only for head and tail flits: the head marks
         // the hop's start, the tail its departure time (what the
         // provenance pass consumes); body flits would only add volume.
-        #[cfg(feature = "trace")]
         if flit.kind.is_head() || flit.kind.is_tail() {
             disco_trace::emit!(
                 out.events,

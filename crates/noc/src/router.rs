@@ -585,7 +585,10 @@ mod tests {
             now,
             store,
             topo,
-            crate::faults::FaultGate::inert(),
+            crate::faults::PhaseGate {
+                plan: None,
+                tracing: false,
+            },
             &mut scratch,
             &mut out,
         );

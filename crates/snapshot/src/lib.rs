@@ -6,10 +6,10 @@
 //! little-endian format instead of an external serializer: the [`Snap`]
 //! trait pairs a `snap` (encode) with a `restore` (decode), [`Writer`]
 //! and [`Reader`] move bytes, and [`SnapshotHeader`] stamps every file
-//! with a magic, a format version, and a **feature fingerprint** (the
-//! cargo features the producing binary was compiled with), so a
-//! restore into an incompatible binary fails with a typed error
-//! instead of silently diverging.
+//! with a magic and a format version, so a restore of a file written in
+//! another format fails with a typed error instead of silently
+//! diverging. Every build writes the same layout: tracing and fault
+//! state are runtime options, serialized as present or absent.
 //!
 //! Determinism rules every implementation must follow:
 //!
@@ -37,7 +37,7 @@ use std::hash::BuildHasher;
 pub const MAGIC: [u8; 8] = *b"DISCOSNP";
 
 /// Current snapshot format version. Bump on any encoding change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Error decoding a snapshot stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,14 +54,6 @@ pub enum SnapError {
         /// Version recorded in the stream.
         found: u32,
         /// Version this binary reads/writes.
-        expected: u32,
-    },
-    /// The stream was produced by a binary compiled with different
-    /// cargo features (e.g. `faults` state cannot restore without it).
-    FeatureMismatch {
-        /// Fingerprint recorded in the stream.
-        found: u32,
-        /// Fingerprint of this binary.
         expected: u32,
     },
     /// A decoded value is structurally invalid (bad enum tag, length
@@ -82,11 +74,6 @@ impl fmt::Display for SnapError {
             SnapError::VersionMismatch { found, expected } => write!(
                 f,
                 "snapshot format version {found} but this binary reads version {expected}"
-            ),
-            SnapError::FeatureMismatch { found, expected } => write!(
-                f,
-                "snapshot feature fingerprint {found:#06b} but this binary is {expected:#06b} \
-                 (rebuild with the same cargo features the snapshot was taken with)"
             ),
             SnapError::Malformed { detail } => write!(f, "malformed snapshot: {detail}"),
         }
@@ -421,26 +408,21 @@ macro_rules! snap_fields {
     };
 }
 
-/// The header opening every snapshot stream: magic, format version,
-/// and the cargo-feature fingerprint of the producing binary.
+/// The header opening every snapshot stream: magic and format version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotHeader {
     /// Format version ([`FORMAT_VERSION`] at write time).
     pub version: u32,
-    /// Bitmask of the producing binary's cargo features.
-    pub fingerprint: u32,
 }
 
 impl SnapshotHeader {
-    /// Writes magic + version + fingerprint.
+    /// Writes magic + version.
     pub fn write(&self, w: &mut Writer) {
         w.bytes(&MAGIC);
         self.version.snap(w);
-        self.fingerprint.snap(w);
     }
 
-    /// Reads and validates the magic and version; the caller compares
-    /// the returned fingerprint against its own.
+    /// Reads and validates the magic and version.
     pub fn read(r: &mut Reader<'_>) -> Result<Self, SnapError> {
         let magic = r.bytes(MAGIC.len())?;
         if magic != MAGIC {
@@ -453,11 +435,7 @@ impl SnapshotHeader {
                 expected: FORMAT_VERSION,
             });
         }
-        let fingerprint = u32::restore(r)?;
-        Ok(SnapshotHeader {
-            version,
-            fingerprint,
-        })
+        Ok(SnapshotHeader { version })
     }
 }
 
@@ -552,7 +530,6 @@ mod tests {
     fn header_round_trip_and_mismatches() {
         let hdr = SnapshotHeader {
             version: FORMAT_VERSION,
-            fingerprint: 0b1010,
         };
         let mut w = Writer::new();
         hdr.write(&mut w);
@@ -569,7 +546,6 @@ mod tests {
         let mut wrong_ver = Writer::new();
         wrong_ver.bytes(&MAGIC);
         wrong_ver.put(&(FORMAT_VERSION + 1));
-        wrong_ver.put(&0u32);
         let wv = wrong_ver.into_bytes();
         assert!(matches!(
             SnapshotHeader::read(&mut Reader::new(&wv)),

@@ -17,7 +17,7 @@ pub mod stall {
     /// VC allocation failed: no free output VC of the packet's class.
     pub const NO_FREE_VC: u8 = 2;
     /// The output port is fault-stalled (injected port stall or flaky
-    /// link window; `faults` feature).
+    /// link window).
     pub const FAULT_STALL: u8 = 3;
 }
 
@@ -205,7 +205,7 @@ pub enum Event {
         /// True when the open-row buffer hit.
         row_hit: bool,
     },
-    /// A fault was injected (`faults` feature).
+    /// A fault was injected.
     FaultInject {
         /// Fault kind code (`disco_faults::FaultKind::code`).
         kind: u8,

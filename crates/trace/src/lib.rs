@@ -13,9 +13,9 @@
 //!    so a trace is a pure function of the simulation seed.
 //! 2. **Collection** ([`Tracer`], [`emit!`]): a fixed-capacity
 //!    drop-oldest ring buffer. Emission sites go through the [`emit!`]
-//!    macro, which compiles to nothing unless the *calling* crate's
-//!    `trace` cargo feature is on — the hot path stays panic-free and
-//!    byte-identical with the feature off.
+//!    macro, which builds an event only when its sink is tracing — with
+//!    tracing off an emission site is one branch, and the simulation is
+//!    byte-identical to a traced run.
 //! 3. **Analysis** ([`provenance::ProvenanceAnalyzer`], [`export`]):
 //!    a provenance pass decomposing each packet's end-to-end latency
 //!    into {serialization, link, queuing, codec, protocol} cycles that
@@ -37,20 +37,17 @@ pub use event::{codec, site, stall, Event, Record};
 pub use provenance::{PacketProvenance, ProvenanceAnalyzer, ProvenanceReport, ProvenanceTotals};
 pub use ring::{Tracer, DEFAULT_CAPACITY};
 
-/// Records an event into `$sink` — a no-op unless the **calling** crate
-/// is built with its `trace` cargo feature.
+/// Records an event into `$sink` — only when the sink is tracing.
 ///
-/// `$sink` is any value with a `trace_record(Event)` method (a
-/// [`Tracer`], an [`EventList`], or a wrapper forwarding to one). With
-/// the feature off the whole expansion is removed before name
-/// resolution, so neither operand is evaluated and the call site costs
-/// nothing; arguments must therefore only reference values that are
-/// used elsewhere, or the feature-off build trips unused warnings.
+/// `$sink` is any value with `is_tracing()` and `trace_record(Event)`
+/// methods (a [`Tracer`], an [`EventList`], or a wrapper forwarding to
+/// one, such as the NoC's `Network`). The event expression is evaluated
+/// only after `is_tracing()` returned true, so a sink that is not
+/// tracing costs one branch and never builds the event.
 #[macro_export]
 macro_rules! emit {
     ($sink:expr, $ev:expr) => {{
-        #[cfg(feature = "trace")]
-        {
+        if $sink.is_tracing() {
             $sink.trace_record($ev);
         }
     }};
@@ -59,36 +56,54 @@ macro_rules! emit {
 /// An ordered, growable list of events with the same `trace_record`
 /// surface as [`Tracer`], for carrying events out of the pure compute
 /// phase (e.g. on `RouterOutcome`) to be cycle-stamped at commit time.
+///
+/// A list records only while tracing is switched on
+/// ([`EventList::set_tracing`]); it starts off, so an untraced list
+/// stays empty and never allocates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EventList(pub Vec<Event>);
+pub struct EventList {
+    events: Vec<Event>,
+    tracing: bool,
+}
 
 impl EventList {
+    /// Switches recording on or off. Buffered events are kept.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.tracing = on;
+    }
+
+    /// True while [`emit!`] records into this list.
+    pub fn is_tracing(&self) -> bool {
+        self.tracing
+    }
+
     /// Appends one event (sink surface used by [`emit!`]).
     pub fn trace_record(&mut self, event: Event) {
-        self.0.push(event);
+        self.events.push(event);
+    }
+
+    /// The buffered events, in record order.
+    pub fn events(&self) -> &[Event] {
+        &self.events
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.events.len()
     }
 
     /// True when no events are buffered.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.events.is_empty()
+    }
+
+    /// Drops the buffered events, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.events.clear();
     }
 
     /// Takes the buffered events, leaving the list empty.
     pub fn drain(&mut self) -> Vec<Event> {
-        std::mem::take(&mut self.0)
-    }
-}
-
-impl disco_snapshot::Snap for EventList {
-    fn snap(&self, w: &mut disco_snapshot::Writer) {
-        w.put(&self.0);
-    }
-    fn restore(r: &mut disco_snapshot::Reader<'_>) -> Result<Self, disco_snapshot::SnapError> {
-        Ok(EventList(r.take()?))
+        std::mem::take(&mut self.events)
     }
 }

@@ -12,7 +12,8 @@ use crate::event::{Event, Record};
 use crate::EventList;
 use std::collections::VecDeque;
 
-/// Default ring capacity (records). Power of two, ≈64 K records.
+/// Ring capacity (records) of a full-system trace capture, and the most
+/// a new tracer reserves up front. Power of two, ≈64 K records.
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// Cycle-stamped ring-buffer event collector.
@@ -28,12 +29,6 @@ pub struct Tracer {
     cycle: u64,
     emitted: u64,
     dropped: u64,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
-    }
 }
 
 impl Tracer {
@@ -54,6 +49,12 @@ impl Tracer {
         self.cycle = cycle;
     }
 
+    /// Always true: a tracer that exists records (sink surface used by
+    /// [`crate::emit!`]).
+    pub fn is_tracing(&self) -> bool {
+        true
+    }
+
     /// Records one event at the current cycle, dropping the oldest
     /// record if the ring is full.
     pub fn trace_record(&mut self, event: Event) {
@@ -71,7 +72,7 @@ impl Tracer {
     /// Records a batch of events (e.g. an [`EventList`] carried out of
     /// the compute phase) in order, at the current cycle.
     pub fn record_all(&mut self, events: &EventList) {
-        for &ev in &events.0 {
+        for &ev in events.events() {
             self.trace_record(ev);
         }
     }
@@ -174,7 +175,7 @@ mod tests {
 
     #[test]
     fn record_all_preserves_order() {
-        let mut t = Tracer::default();
+        let mut t = Tracer::with_capacity(8);
         let mut list = EventList::default();
         list.trace_record(ev(5));
         list.trace_record(ev(6));

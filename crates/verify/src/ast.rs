@@ -991,7 +991,7 @@ mod tests {
     #[test]
     fn cfg_feature_gated_code_is_scanned() {
         let src = "
-            #[cfg(feature = \"faults\")]
+            #[cfg(feature = \"validate\")]
             fn gated() { z.unwrap(); }
         ";
         assert_eq!(scan_panics(src).expect("parses").len(), 1);

@@ -26,23 +26,21 @@ verify:
 verify-json:
     cargo xtask verify --json VERIFY_REPORT.json
 
-# Workspace tests, plus the NoC suite with per-cycle invariant validation
-# and the tracing determinism/golden legs.
+# Workspace tests (traced and faulty legs included), plus the NoC suite
+# with per-cycle invariant validation and the sharded determinism legs.
 test:
     cargo test --workspace -q
     cargo test -q -p disco-noc --features validate
-    cargo test -q -p disco -p disco-noc -p disco-core --features "parallel,trace"
+    cargo test -q -p disco -p disco-noc -p disco-core --features parallel
 
 # Regenerate the EXPERIMENTS.md provenance tables and the sample trace
 # exports (results/trace_disco_4x4.json / .jsonl, untracked).
 provenance:
-    cargo run --release -p disco-bench --features trace --bin provenance
+    cargo run --release -p disco-bench --bin provenance
 
-# Measure tracing overhead and cross-check feature-off/on stats identity.
+# Measure tracing overhead and check traced/untraced stats identity.
 trace-overhead:
-    cargo run --release -p disco-bench --bin trace_overhead -- --out BENCH_pr4_off.json
-    cargo run --release -p disco-bench --features trace --bin trace_overhead -- \
-        --out BENCH_pr4.json --baseline BENCH_pr4_off.json
+    cargo run --release -p disco-bench --bin trace_overhead -- --out BENCH_pr4.json
 
 # Regenerate tests/golden_stats.txt after report.rs changes.
 update-golden:

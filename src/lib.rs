@@ -45,14 +45,13 @@ pub use disco_compress as compress;
 pub use disco_core as core;
 pub use disco_energy as energy;
 /// Deterministic fault plans, integrity checksums, and fault accounting
-/// (`faults` feature).
-#[cfg(feature = "faults")]
+/// (armed at run time with `SimBuilder::faults`).
 pub use disco_faults as faults;
 pub use disco_noc as noc;
 /// Versioned binary checkpoint encoding (the `Snap` trait, writer /
 /// reader, snapshot header) behind [`core::System::snapshot`].
 pub use disco_snapshot as snapshot;
-/// Deterministic event tracing + latency provenance (`trace` feature).
-#[cfg(feature = "trace")]
+/// Deterministic event tracing + latency provenance (switched on at run
+/// time with `SimBuilder::capture_trace`).
 pub use disco_trace as trace;
 pub use disco_workloads as workloads;

@@ -3,12 +3,42 @@
 //! runs on. Serial builds ignore `compute_shards`, so there the matrix
 //! degenerates to a (cheap) self-comparison; under `--features parallel`
 //! it pins the real property — commit order, not thread schedule,
-//! decides every outcome. CI runs this file under all four feature
-//! combinations (default, `parallel`, `validate`, `parallel,validate`).
+//! decides every outcome. Tracing and fault injection are runtime
+//! options, so every build also runs the traced and faulty legs. CI
+//! runs this file under all four feature combinations (default,
+//! `parallel`, `validate`, `parallel,validate`).
 
-use disco::core::{CompressionPlacement, SimBuilder};
+use disco::core::{CompressionPlacement, SimBuilder, SimReport};
 use disco::noc::{NocConfig, RoutingAlgorithm, TopologyChoice};
 use disco::workloads::Benchmark;
+
+/// One 4x4 matrix point at a given shard count.
+fn matrix_point(
+    seed: u64,
+    placement: CompressionPlacement,
+    routing: RoutingAlgorithm,
+    shards: usize,
+) -> SimBuilder {
+    let noc = NocConfig {
+        routing,
+        compute_shards: shards,
+        ..NocConfig::default()
+    };
+    SimBuilder::new()
+        .mesh(4, 4)
+        .placement(placement)
+        .benchmark(Benchmark::Dedup)
+        .trace_len(300)
+        .seed(seed)
+        .noc(noc)
+}
+
+/// A finished run's stats file.
+fn stats_text(report: &SimReport) -> String {
+    let mut buf = Vec::new();
+    report.write_stats(&mut buf).expect("in-memory write");
+    String::from_utf8(buf).expect("stats are utf8")
+}
 
 /// Full stats report for one matrix point at a given shard count.
 fn stats_with_shards(
@@ -17,23 +47,10 @@ fn stats_with_shards(
     routing: RoutingAlgorithm,
     shards: usize,
 ) -> String {
-    let noc = NocConfig {
-        routing,
-        compute_shards: shards,
-        ..NocConfig::default()
-    };
-    let report = SimBuilder::new()
-        .mesh(4, 4)
-        .placement(placement)
-        .benchmark(Benchmark::Dedup)
-        .trace_len(300)
-        .seed(seed)
-        .noc(noc)
+    let report = matrix_point(seed, placement, routing, shards)
         .run()
         .expect("matrix run drains");
-    let mut buf = Vec::new();
-    report.write_stats(&mut buf).expect("in-memory write");
-    String::from_utf8(buf).expect("stats are utf8")
+    stats_text(&report)
 }
 
 #[test]
@@ -209,32 +226,23 @@ fn single_shard_spins_up_no_pool() {
 /// schedule is a pure function of `(seed, kind, cycle, site)` and all
 /// fault bookkeeping runs in the node-ordered serial passes, so the
 /// whole stats file — FaultStats included — must be byte-identical at
-/// any shard count, at any fault rate. CI runs this leg under `faults`
-/// and `parallel,faults,trace`.
-#[cfg(feature = "faults")]
+/// any shard count, at any fault rate.
 mod faults_matrix {
     use super::*;
     use disco::faults::FaultPlan;
 
     /// Full stats report for one faulty matrix point.
     fn faulty_stats(seed: u64, rate: f64, shards: usize) -> String {
-        let noc = NocConfig {
-            compute_shards: shards,
-            ..NocConfig::default()
-        };
-        let report = SimBuilder::new()
-            .mesh(4, 4)
-            .placement(CompressionPlacement::Disco)
-            .benchmark(Benchmark::Dedup)
-            .trace_len(300)
-            .seed(seed)
-            .noc(noc)
-            .faults(FaultPlan::uniform(seed ^ 0xfa17, rate))
-            .run()
-            .expect("faulty matrix run drains");
-        let mut buf = Vec::new();
-        report.write_stats(&mut buf).expect("in-memory write");
-        String::from_utf8(buf).expect("stats are utf8")
+        let report = matrix_point(
+            seed,
+            CompressionPlacement::Disco,
+            RoutingAlgorithm::Xy,
+            shards,
+        )
+        .faults(FaultPlan::uniform(seed ^ 0xfa17, rate))
+        .run()
+        .expect("faulty matrix run drains");
+        stats_text(&report)
     }
 
     #[test]
@@ -255,7 +263,7 @@ mod faults_matrix {
 
     /// A rate-zero plan is indistinguishable from never arming one: the
     /// context is discarded at install time, so timing, stats, and the
-    /// stats file bytes all match the fault-free build.
+    /// stats file bytes all match a run that never armed one.
     #[test]
     fn rate_zero_matches_fault_free_run() {
         let clean = stats_with_shards(2, CompressionPlacement::Disco, RoutingAlgorithm::Xy, 1);
@@ -265,21 +273,10 @@ mod faults_matrix {
 
     /// JSONL byte-identity extends to faulty runs (fault events, eaten
     /// ejections, and retransmissions are all committed in node order).
-    #[cfg(feature = "trace")]
     #[test]
     fn faulty_trace_jsonl_is_shard_invariant() {
         let export = |shards: usize| {
-            let noc = NocConfig {
-                compute_shards: shards,
-                ..NocConfig::default()
-            };
-            let report = SimBuilder::new()
-                .mesh(4, 4)
-                .placement(CompressionPlacement::Disco)
-                .benchmark(Benchmark::Dedup)
-                .trace_len(300)
-                .seed(9)
-                .noc(noc)
+            let report = matrix_point(9, CompressionPlacement::Disco, RoutingAlgorithm::Xy, shards)
                 .faults(FaultPlan::uniform(0xfa17, 1e-4))
                 .retain_trace_records(true)
                 .run()
@@ -299,26 +296,37 @@ mod faults_matrix {
     }
 }
 
+/// The trace twin of `rate_zero_matches_fault_free_run`: capturing a
+/// trace observes the run without steering it. A `capture_trace(true)`
+/// run's stats file is the plain run's plus the `trace.*` and
+/// `provenance.*` lines, nothing else.
+#[test]
+fn trace_capture_matches_untraced_run() {
+    let plain = stats_with_shards(2, CompressionPlacement::Disco, RoutingAlgorithm::Xy, 1);
+    let report = matrix_point(2, CompressionPlacement::Disco, RoutingAlgorithm::Xy, 1)
+        .capture_trace(true)
+        .run()
+        .expect("traced run drains");
+    assert!(report.trace.is_some(), "capture requested");
+    let traced = stats_text(&report);
+    let stripped: String = traced
+        .lines()
+        .filter(|l| !l.starts_with("trace.") && !l.starts_with("provenance."))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_ne!(traced, stripped, "a captured run reports its trace");
+    assert_eq!(plain, stripped, "tracing must not change the simulation");
+}
+
 /// The trace is part of the determinism contract too: every event is
 /// committed in node order and stamped with the simulated cycle (never
 /// wall-clock), so the exported JSONL must be byte-identical at any
-/// shard count. CI runs this under `parallel,trace`; without `parallel`
-/// the shard request is ignored and the comparison is a self-check.
-#[cfg(feature = "trace")]
+/// shard count. Without `parallel` the shard request is ignored and the
+/// comparison is a self-check.
 #[test]
 fn trace_jsonl_is_shard_invariant() {
     let export = |shards: usize| {
-        let noc = NocConfig {
-            compute_shards: shards,
-            ..NocConfig::default()
-        };
-        let report = SimBuilder::new()
-            .mesh(4, 4)
-            .placement(CompressionPlacement::Disco)
-            .benchmark(Benchmark::Dedup)
-            .trace_len(300)
-            .seed(9)
-            .noc(noc)
+        let report = matrix_point(9, CompressionPlacement::Disco, RoutingAlgorithm::Xy, shards)
             .retain_trace_records(true)
             .run()
             .expect("matrix run drains");
@@ -339,46 +347,39 @@ fn trace_jsonl_is_shard_invariant() {
 
 /// The checkpoint leg of the contract: run-to-cycle-N → snapshot →
 /// restore → run-to-end must be byte-identical to the unbroken run at
-/// every shard count — the stats file, and (feature-gated) the trace
-/// JSONL export and the fault ledger riding in the stats file. CI runs
-/// this under default and `parallel,faults,trace` builds.
+/// every shard count — the stats file, and for armed runs the fault
+/// ledger riding in it and the trace JSONL export.
 mod snapshot_roundtrip {
     use super::*;
-    use disco::core::{SimReport, System};
+    use disco::core::System;
 
     /// Cycle at which the interrupted run pauses and checkpoints.
     const SNAPSHOT_AT: u64 = 300;
 
-    fn matrix_builder(seed: u64, placement: CompressionPlacement, shards: usize) -> SimBuilder {
-        let noc = NocConfig {
-            compute_shards: shards,
-            ..NocConfig::default()
-        };
-        let builder = SimBuilder::new()
-            .mesh(4, 4)
-            .placement(placement)
-            .benchmark(Benchmark::Dedup)
-            .trace_len(300)
-            .seed(seed)
-            .noc(noc);
-        #[cfg(feature = "faults")]
-        let builder = builder.faults(disco::faults::FaultPlan::uniform(seed ^ 0xfa17, 1e-4));
-        #[cfg(feature = "trace")]
-        let builder = builder.retain_trace_records(true);
-        builder
+    /// A matrix point; `armed` adds a fault plan and trace capture, so
+    /// the snapshot carries fault-recovery and trace state too.
+    fn matrix_builder(
+        seed: u64,
+        placement: CompressionPlacement,
+        shards: usize,
+        armed: bool,
+    ) -> SimBuilder {
+        let builder = matrix_point(seed, placement, RoutingAlgorithm::Xy, shards);
+        if armed {
+            builder
+                .faults(disco::faults::FaultPlan::uniform(seed ^ 0xfa17, 1e-4))
+                .retain_trace_records(true)
+        } else {
+            builder
+        }
     }
 
     /// Every byte-comparable artifact of a finished run: the stats file
-    /// (which carries the fault ledger under `faults`) and the exported
-    /// trace JSONL under `trace`.
+    /// (which carries the fault ledger of an armed run) and the exported
+    /// trace JSONL of a captured one.
     fn artifacts(report: &SimReport) -> String {
-        let mut buf = Vec::new();
-        report.write_stats(&mut buf).expect("in-memory write");
-        #[allow(unused_mut)]
-        let mut out = String::from_utf8(buf).expect("stats are utf8");
-        #[cfg(feature = "trace")]
-        {
-            let t = report.trace.as_ref().expect("capture requested");
+        let mut out = stats_text(report);
+        if let Some(t) = &report.trace {
             out.push_str(&disco::trace::export::jsonl_string(&t.records));
         }
         out
@@ -389,26 +390,29 @@ mod snapshot_roundtrip {
         for seed in [1u64, 2, 3] {
             for placement in [CompressionPlacement::Baseline, CompressionPlacement::Disco] {
                 for shards in [1usize, 4, 16] {
-                    let builder = matrix_builder(seed, placement, shards);
-                    let unbroken = artifacts(&builder.clone().run().expect("unbroken run drains"));
-                    let mut sys = builder.build();
-                    assert!(
-                        !sys.step_until(SNAPSHOT_AT).expect("within budget"),
-                        "seed {seed}, {placement}, {shards} shards: \
-                         run finished before cycle {SNAPSHOT_AT}"
-                    );
-                    let bytes = sys.snapshot();
-                    drop(sys);
-                    let resumed = System::restore(&bytes)
-                        .expect("snapshot restores")
-                        .run_to_completion()
-                        .expect("resumed run drains");
-                    assert_eq!(
-                        unbroken,
-                        artifacts(&resumed),
-                        "seed {seed}, {placement}, {shards} shards: \
-                         resumed run diverged from the unbroken run"
-                    );
+                    for armed in [false, true] {
+                        let point =
+                            format!("seed {seed}, {placement}, {shards} shards, armed {armed}");
+                        let builder = matrix_builder(seed, placement, shards, armed);
+                        let unbroken =
+                            artifacts(&builder.clone().run().expect("unbroken run drains"));
+                        let mut sys = builder.build();
+                        assert!(
+                            !sys.step_until(SNAPSHOT_AT).expect("within budget"),
+                            "{point}: run finished before cycle {SNAPSHOT_AT}"
+                        );
+                        let bytes = sys.snapshot();
+                        drop(sys);
+                        let resumed = System::restore(&bytes)
+                            .expect("snapshot restores")
+                            .run_to_completion()
+                            .expect("resumed run drains");
+                        assert_eq!(
+                            unbroken,
+                            artifacts(&resumed),
+                            "{point}: resumed run diverged from the unbroken run"
+                        );
+                    }
                 }
             }
         }

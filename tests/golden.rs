@@ -26,8 +26,7 @@ fn fixed_seed_run_matches_golden_stats() {
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden_stats.txt");
     let current = current_stats();
     // The golden run never arms a fault plan, so no `faults.*` keys may
-    // appear even on `--features faults` builds (the stats file must be
-    // identical across feature legs).
+    // appear (fault keys are written only for runs that armed one).
     assert!(
         !current.contains("faults."),
         "fault keys leaked into a fault-free run"

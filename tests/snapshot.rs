@@ -1,11 +1,12 @@
 //! Snapshot failure paths: every way a checkpoint can fail to restore —
-//! truncation, corruption, version skew, feature-fingerprint skew, and
-//! restoring into the wrong configuration — must surface as a typed
+//! truncation, corruption, version skew (including files from the
+//! older, feature-fingerprinted format), and restoring into the wrong
+//! configuration — must surface as a typed
 //! [`SimError`] with a readable message. No panics, no partial restores:
 //! an error leaves nothing behind but the untouched input bytes.
 
-use disco::core::{feature_fingerprint, CompressionPlacement, SimBuilder, SimError, System};
-use disco::snapshot::{SnapshotHeader, Writer, FORMAT_VERSION, MAGIC};
+use disco::core::{CompressionPlacement, SimBuilder, SimError, System};
+use disco::snapshot::{Writer, FORMAT_VERSION, MAGIC};
 use disco::workloads::Benchmark;
 
 fn builder() -> SimBuilder {
@@ -50,7 +51,6 @@ fn version_mismatch_is_a_typed_error() {
     let mut w = Writer::new();
     w.bytes(&MAGIC);
     w.put(&(FORMAT_VERSION + 1));
-    w.put(&feature_fingerprint());
     let err = match System::restore(&w.into_bytes()) {
         Err(e) => e,
         Ok(_) => panic!("future format version restored"),
@@ -63,26 +63,25 @@ fn version_mismatch_is_a_typed_error() {
 }
 
 #[test]
-fn feature_fingerprint_mismatch_is_a_typed_error() {
-    // A fingerprint this build can never have (e.g. a `faults` snapshot
-    // restored without the feature, or vice versa).
+fn version_1_snapshot_is_a_version_mismatch() {
+    // A file from the version-1 format: magic, version 1, then the
+    // cargo-feature fingerprint that format carried (here `trace` and
+    // `faults`). The version check rejects it before the fingerprint.
     let mut w = Writer::new();
-    SnapshotHeader {
-        version: FORMAT_VERSION,
-        fingerprint: feature_fingerprint() ^ 0b11,
-    }
-    .write(&mut w);
+    w.bytes(&MAGIC);
+    w.put(&1u32);
+    w.put(&0b11u32);
     let err = match System::restore(&w.into_bytes()) {
         Err(e) => e,
-        Ok(_) => panic!("foreign fingerprint restored"),
+        Ok(_) => panic!("version-1 snapshot restored"),
     };
-    let SimError::SnapshotFeatureMismatch { found, expected } = err else {
-        panic!("expected SnapshotFeatureMismatch, got {err:?}");
+    let SimError::SnapshotVersionMismatch { found, expected } = err else {
+        panic!("expected SnapshotVersionMismatch, got {err:?}");
     };
-    assert_eq!(found, expected ^ 0b11);
+    assert_eq!((found, expected), (1, FORMAT_VERSION));
     assert!(
-        format!("{err}").contains("feature"),
-        "message names the cause"
+        format!("{err}").contains("version 1"),
+        "message names the found version: {err}"
     );
 }
 
