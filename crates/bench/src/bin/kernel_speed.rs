@@ -6,10 +6,11 @@
 //! `sweep` snapshot: where `sweep` fans independent configurations
 //! across threads, this bin shards a single simulation's compute phase
 //! across the persistent worker pool and reports the speedup honestly —
-//! including `host_cores`, so a 1-core container time-slicing N shards
-//! is visible as such instead of masquerading as a parallel result.
+//! including `host_cores`: the pool never runs more threads than the
+//! host has cores, so on a 1-core host every shard runs inline and the
+//! speedup is ~1.0 by construction.
 //!
-//! `cargo run --release --features parallel -p disco-bench --bin kernel_speed -- \
+//! `cargo run --release -p disco-bench --bin kernel_speed -- \
 //!     [--meshes 8,16,32,64] [--topology mesh|ring|hring|torus|cmesh] \
 //!     [--cycles 0 (auto per mesh)] [--rate 0.1] \
 //!     [--shards 0 (auto = host cores)] [--seeds 2016,2018] \
@@ -196,18 +197,6 @@ fn main() -> ExitCode {
     } else {
         args.shards
     };
-    if shards > host_cores {
-        eprintln!(
-            "kernel_speed: WARNING: {shards} shards on {host_cores} host core(s) — \
-             the sharded leg measures time-slicing, not parallelism"
-        );
-    }
-    if !cfg!(feature = "parallel") {
-        eprintln!(
-            "kernel_speed: WARNING: built without --features parallel; \
-             the shard request is ignored and speedup will be ~1.0"
-        );
-    }
 
     let mut meshes = Vec::new();
     for &mesh in &args.meshes {
@@ -239,12 +228,6 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"topology\": \"{}\",", args.topology);
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"shards\": {shards},");
-    let _ = writeln!(json, "  \"shards_exceed_cores\": {},", shards > host_cores);
-    let _ = writeln!(
-        json,
-        "  \"kernel_parallel_feature\": {},",
-        cfg!(feature = "parallel")
-    );
     let _ = writeln!(json, "  \"rate\": {},", args.rate);
     let _ = writeln!(json, "  \"meshes\": [");
     for (i, m) in meshes.iter().enumerate() {

@@ -91,23 +91,16 @@ fn main() -> ExitCode {
         }
     };
     // Make over-subscription loud: on a host with fewer cores than
-    // requested threads/shards, the "parallel" pass measures
-    // time-slicing, and its speedup number is not a parallelism result
-    // (this is exactly how BENCH_pr3's 0.952x on a 1-core container
-    // read as a regression). `host_cores` in the JSON records the truth.
+    // the threads the fanned pass runs (threads x kernel threads per
+    // point), it measures time-slicing, and its speedup number is not a
+    // parallelism result (this is exactly how BENCH_pr3's 0.952x on a
+    // 1-core container read as a regression). `host_cores` in the JSON
+    // records the truth.
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if args.threads > host_cores {
-        eprintln!(
-            "sweep: WARNING: {} threads on {host_cores} host core(s) — \
-             speedup will reflect time-slicing, not parallelism",
-            args.threads
-        );
-    }
-    if args.shards > host_cores {
-        eprintln!(
-            "sweep: WARNING: {} kernel shards on {host_cores} host core(s)",
-            args.shards
-        );
+    if let Some(w) =
+        disco_pareto::exec::oversubscription_warning("sweep", args.threads, args.shards, host_cores)
+    {
+        eprintln!("{w}");
     }
     // The driver maps `seed` to `seed | 1`, so adjacent integers collide;
     // step by 2 to get genuinely distinct streams.
@@ -167,11 +160,6 @@ fn main() -> ExitCode {
     let _ = writeln!(json, "  \"threads\": {},", args.threads);
     let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"compute_shards\": {},", args.shards);
-    let _ = writeln!(
-        json,
-        "  \"kernel_parallel_feature\": {},",
-        cfg!(feature = "parallel")
-    );
     let _ = writeln!(json, "  \"points\": [");
     for (i, (s, f)) in serial.iter().zip(&fanned).enumerate() {
         let sep = if i + 1 < serial.len() { "," } else { "" };

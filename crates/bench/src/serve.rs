@@ -3,7 +3,7 @@
 //!
 //! A queue file (JSON, schema below) lists independent simulation jobs
 //! on the [`SimBuilder`] axes. The engine fans them across OS worker
-//! threads (round-robin, like `sweep::run_sweep`), streams a heartbeat
+//! threads ([`disco_pareto::exec::fan_out`]), streams a heartbeat
 //! JSONL line per job chunk, auto-checkpoints every
 //! `checkpoint_every` cycles via [`System::snapshot`], and resumes any
 //! job whose checkpoint it finds in the output directory — so a killed
@@ -76,7 +76,7 @@ pub struct JobSpec {
     pub trace_len: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Kernel shard request (ignored without the `parallel` feature).
+    /// Kernel shard request (see `NocConfig::compute_shards`).
     pub compute_shards: usize,
     /// Cycle budget (0 = auto).
     pub max_cycles: u64,
@@ -531,55 +531,12 @@ pub fn serve(cfg: &ServeConfig, opts: &ServeOpts) -> Result<ServeSummary, String
         Some(n) => i64::try_from(n).unwrap_or(i64::MAX),
         None => i64::MAX,
     });
-    let threads = opts.threads.max(1).min(cfg.jobs.len().max(1));
-    let outcomes: Vec<(JobOutcome, bool)> = if threads <= 1 {
-        cfg.jobs
-            .iter()
-            .map(|job| {
-                let files = JobFiles::new(&opts.out_dir, &job.name);
-                let mut resumed = false;
-                let o = run_job(job, &files, cfg.checkpoint_every, &budget, &mut resumed);
-                (o, resumed)
-            })
-            .collect()
-    } else {
-        let mut indexed: Vec<(usize, (JobOutcome, bool))> = Vec::with_capacity(cfg.jobs.len());
-        std::thread::scope(|s| {
-            let budget = &budget;
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    s.spawn(move || {
-                        cfg.jobs
-                            .iter()
-                            .enumerate()
-                            .skip(t)
-                            .step_by(threads)
-                            .map(|(i, job)| {
-                                let files = JobFiles::new(&opts.out_dir, &job.name);
-                                let mut resumed = false;
-                                let o = run_job(
-                                    job,
-                                    &files,
-                                    cfg.checkpoint_every,
-                                    budget,
-                                    &mut resumed,
-                                );
-                                (i, (o, resumed))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => indexed.extend(part),
-                    Err(_) => panic!("serve worker panicked"),
-                }
-            }
-        });
-        indexed.sort_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, o)| o).collect()
-    };
+    let outcomes = disco_pareto::exec::fan_out(&cfg.jobs, opts.threads, |job| {
+        let files = JobFiles::new(&opts.out_dir, &job.name);
+        let mut resumed = false;
+        let o = run_job(job, &files, cfg.checkpoint_every, &budget, &mut resumed);
+        (o, resumed)
+    });
     let mut summary = ServeSummary::default();
     for (outcome, resumed) in outcomes {
         if resumed {

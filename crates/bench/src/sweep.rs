@@ -6,9 +6,8 @@
 //! fan-out needs no synchronization beyond joining. Results come back in
 //! point order regardless of the thread count, and each point's stats
 //! are byte-identical to a serial run of the same point — the harness
-//! parallelizes *between* configurations; the `parallel` cargo feature
-//! additionally shards the cycle kernel *within* one (see
-//! `NocConfig::compute_shards`).
+//! parallelizes *between* configurations; `NocConfig::compute_shards`
+//! additionally shards the cycle kernel *within* one.
 
 use disco_noc::traffic::{TrafficDriver, TrafficPattern};
 use disco_noc::{Network, NetworkStats, NocConfig, NodeId, TopologyChoice};
@@ -31,8 +30,7 @@ pub struct SweepPoint {
     pub rows: usize,
     /// Cycles to simulate.
     pub cycles: u64,
-    /// Kernel shard request (see `NocConfig::compute_shards`; ignored
-    /// without the `parallel` feature).
+    /// Kernel shard request (see `NocConfig::compute_shards`).
     pub compute_shards: usize,
     /// Trace ring-buffer capacity in records; 0 = tracing off. Used by
     /// the tracing-overhead bench.

@@ -312,38 +312,17 @@ impl DiscoLayer {
         self.scan_slots = slots;
     }
 
-    /// Scan phase: fills one [`NodeScan`] per node into the shard slots,
-    /// spans in node order within each slot.
+    /// Scan phase: runs [`scan_node_into`](Self::scan_node_into) for
+    /// every node, shard `s` scanning the node span
+    /// [`Network::shard_span`]`(s)` into slot `s` over
+    /// [`Network::run_sharded`] — the same decomposition and threads as
+    /// the NoC compute phase, so a shard's scan arena stays warm in the
+    /// same thread's cache.
     fn compute_scans(&self, net: &Network, slots: &mut [std::sync::Mutex<ScanSlot>]) {
-        #[cfg(feature = "parallel")]
-        if net.compute_shards() > 1 {
-            self.compute_scans_sharded(net, slots);
-            return;
-        }
-        let slot = match slots[0].get_mut() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        slot.scans
-            .resize_with(self.engines.len(), NodeScan::default);
-        for node in 0..self.engines.len() {
-            let ScanSlot { scans, busy } = &mut *slot;
-            self.scan_node_into(net, node, busy, &mut scans[node]);
-        }
-    }
-
-    /// Fans [`scan_node_into`](Self::scan_node_into) out over the
-    /// network's persistent worker pool, shard `s` scanning the node
-    /// span [`Network::shard_span`]`(s)` into slot `s` — the same
-    /// decomposition and worker set as the NoC compute phase, so a
-    /// shard's scan arena stays warm in the same worker's cache.
-    #[cfg(feature = "parallel")]
-    fn compute_scans_sharded(&self, net: &Network, slots: &mut [std::sync::Mutex<ScanSlot>]) {
         let slots: &[std::sync::Mutex<ScanSlot>] = slots;
         net.run_sharded(&|shard| {
             let span = net.shard_span(shard);
-            // Uncontended: worker `shard` is the only thread touching
-            // slot `shard` during a run.
+            // Uncontended: one thread owns shard `shard` during a run.
             let mut slot = match slots[shard].lock() {
                 Ok(slot) => slot,
                 Err(poisoned) => poisoned.into_inner(),

@@ -58,12 +58,13 @@ pub struct NocConfig {
     pub routing: RoutingAlgorithm,
     /// Switch-allocation priority rules.
     pub scheduling: SchedulingPolicy,
-    /// Worker shards for the parallel compute phase (`parallel` feature):
-    /// `0` picks a shard count from the host's core count and the mesh
-    /// size, `1` forces the serial path, larger values force that many
-    /// shards (clamped to the router count). Ignored without the
-    /// feature. Results are byte-identical for every value — sharding
-    /// only changes wall-clock, never simulated behaviour.
+    /// Shards for the compute phase: `0` (auto) and `1` run the serial
+    /// path — no network this repository simulates is large enough for
+    /// the worker pool to win — and larger values force that many
+    /// shards (clamped to the router count). The pool runs at most one
+    /// thread per host core whatever the shard count. Results are
+    /// byte-identical for every value — sharding only changes
+    /// wall-clock, never simulated behaviour.
     pub compute_shards: usize,
 }
 

@@ -40,7 +40,6 @@ pub mod health;
 pub mod network;
 pub mod packet;
 mod phase;
-#[cfg(feature = "parallel")]
 pub(crate) mod pool;
 pub mod router;
 pub mod routing;

@@ -73,14 +73,13 @@ pub struct Network {
     /// each tick's compute + commit so the phases can borrow the network
     /// and the slots independently. Length equals the shard count.
     scratch: Vec<Mutex<ShardSlot>>,
-    /// Worker count for the compute phase, resolved once at build time
-    /// from [`NocConfig::compute_shards`] and the host.
-    #[cfg(feature = "parallel")]
+    /// Shard count for the compute phase, resolved once at build time
+    /// from [`NocConfig::compute_shards`] and the network size.
     shards: usize,
-    /// Persistent compute workers (`shards - 1` parked threads), spawned
-    /// once at construction. `None` when one shard suffices — the serial
-    /// path must not pay any pool cost, not even an idle thread.
-    #[cfg(feature = "parallel")]
+    /// Persistent compute workers (`min(shards, host cores) - 1` parked
+    /// threads), spawned once at construction. `None` when one thread
+    /// suffices — the serial path must not pay any pool cost, not even
+    /// an idle thread.
     pool: Option<crate::pool::WorkerPool>,
     /// Cycle-stamped trace event collector, present only while tracing
     /// is on ([`Network::set_trace_capacity`]). Fed only from the serial
@@ -94,20 +93,20 @@ pub struct Network {
     pub(crate) faults: Option<Box<crate::faults::FaultCtx>>,
 }
 
-/// Resolves [`NocConfig::compute_shards`] against the host and network
-/// size. Auto mode (`0`) engages threads only when each worker gets a
-/// meaningful slice of routers; scoped-thread spawn overhead dwarfs the
-/// per-cycle compute of a small network.
-#[cfg(feature = "parallel")]
+/// The host's core count (1 when it cannot be read). Reading it costs
+/// file-system reads (cgroup quotas), so single-shard networks never ask.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Resolves [`NocConfig::compute_shards`] against the network size.
+/// Auto mode (`0`) runs serial: no workload in this repository is large
+/// enough for the pool to beat the serial path (see the 2-shard table in
+/// EXPERIMENTS.md). An explicit count is honoured up to one router per
+/// shard.
 fn effective_shards(requested: usize, routers: usize) -> usize {
-    const MIN_ROUTERS_PER_SHARD: usize = 16;
     match requested {
-        0 => {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            cores.min(routers / MIN_ROUTERS_PER_SHARD).max(1)
-        }
+        0 => 1,
         n => n.min(routers.max(1)),
     }
 }
@@ -140,10 +139,15 @@ impl Network {
         );
         let routers = topology.routers();
         let tiles = topology.tiles();
-        #[cfg(feature = "parallel")]
         let shards = effective_shards(config.compute_shards, routers);
-        #[cfg(not(feature = "parallel"))]
-        let shards = 1;
+        // Shards beyond the host's cores share threads rather than
+        // time-slice extra ones (measured in EXPERIMENTS.md: 16 shards
+        // on 2 cores run faster on 2 threads than on 16).
+        let threads = if shards > 1 {
+            shards.min(host_cores())
+        } else {
+            1
+        };
         let radix = topology.radix();
         let link_ports = topology.link_ports();
         Network {
@@ -162,46 +166,25 @@ impl Network {
             scratch: (0..shards)
                 .map(|_| Mutex::new(ShardSlot::default()))
                 .collect(),
-            #[cfg(feature = "parallel")]
             shards,
-            #[cfg(feature = "parallel")]
-            pool: if shards > 1 {
-                Some(crate::pool::WorkerPool::new(shards - 1))
-            } else {
-                None
-            },
+            pool: (threads > 1).then(|| crate::pool::WorkerPool::new(threads - 1)),
             tracer: None,
             faults: None,
         }
     }
 
-    /// The number of workers the compute phase fans out over. Always `1`
-    /// in serial builds; under the `parallel` feature it is resolved
-    /// from [`NocConfig::compute_shards`]. The DISCO layer reuses it for
-    /// its own candidate scan.
+    /// The number of shards the compute phase splits the routers into,
+    /// resolved from [`NocConfig::compute_shards`]. The DISCO layer
+    /// reuses it for its own candidate scan.
     pub fn compute_shards(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.shards
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            1
-        }
+        self.shards
     }
 
-    /// Number of live pool worker threads. `0` whenever one shard
-    /// suffices: the serial path never spins up a pool (pinned by
-    /// `tests/determinism.rs`).
+    /// Number of live pool worker threads: `min(shards, host cores) - 1`.
+    /// `0` whenever one thread suffices: the serial path never spins up
+    /// a pool (pinned by `tests/determinism.rs`).
     pub fn pool_workers(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        {
-            self.pool.as_ref().map_or(0, |p| p.workers())
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            0
-        }
+        self.pool.as_ref().map_or(0, |p| p.workers())
     }
 
     /// The contiguous router range shard `shard` owns. Spans routers
@@ -214,17 +197,21 @@ impl Network {
         start..(start + chunk).min(n)
     }
 
-    /// Runs `task(shard)` for every shard index, on the persistent pool
-    /// when one exists (shard 0 on the calling thread, the rest on
-    /// parked workers) and inline otherwise. The DISCO layer reuses this
-    /// for its candidate scan so both phases share one worker set.
+    /// Runs `task(shard)` for every shard index. With a pool of `T`
+    /// threads (the parked workers plus the caller), thread `t` runs
+    /// shards `t, t+T, t+2T, …` in order, so a shard always lands on
+    /// the same thread; without one, every shard runs inline in order.
+    /// The DISCO layer reuses this for its candidate scan so both
+    /// phases share one worker set.
     pub fn run_sharded(&self, task: &(dyn Fn(usize) + Sync)) {
-        #[cfg(feature = "parallel")]
-        if let Some(pool) = &self.pool {
-            pool.run(task);
-            return;
+        let shards = self.shards;
+        match &self.pool {
+            Some(pool) => {
+                let threads = pool.workers() + 1;
+                pool.run(&|t| (t..shards).step_by(threads).for_each(task));
+            }
+            None => (0..shards).for_each(task),
         }
-        task(0);
     }
 
     /// Current cycle.
@@ -383,8 +370,8 @@ impl Network {
     /// occupancy never exceeds the buffer depth (strict equality does not
     /// hold because the extension API may hold credits mid-reshape).
     ///
-    /// Always compiled; [`Network::tick`] calls it every cycle when the
-    /// `validate` feature is enabled.
+    /// Always compiled; [`Network::tick`] calls it every cycle in debug
+    /// builds (every `cargo test` build).
     ///
     /// # Errors
     ///
@@ -436,55 +423,27 @@ impl Network {
         self.compute_phase(&mut slots);
         crate::commit::commit_cycle(self, &mut slots);
         self.scratch = slots;
-        #[cfg(feature = "validate")]
-        if let Err(msg) = self.check_invariants() {
-            panic!("validate: cycle {}: {msg}", self.now);
+        if cfg!(debug_assertions) {
+            if let Err(msg) = self.check_invariants() {
+                panic!("invariant violated: cycle {}: {msg}", self.now);
+            }
         }
     }
 
-    /// Runs [`crate::phase::compute_router`] for every router, writing
-    /// into the reusable shard slots. Routers are disjoint state and the
-    /// function is pure, so the sharded path fills bit-identical
-    /// outcomes in the same node order.
-    fn compute_phase(&self, slots: &mut [Mutex<ShardSlot>]) {
-        #[cfg(feature = "parallel")]
-        if self.shards > 1 {
-            self.compute_phase_sharded(slots);
-            return;
-        }
-        let gate = self.phase_gate();
-        let slot = match slots[0].get_mut() {
-            Ok(slot) => slot,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        slot.outcomes
-            .resize_with(self.routers.len(), RouterOutcome::default);
-        for (i, router) in self.routers.iter().enumerate() {
-            crate::phase::compute_router(
-                router,
-                self.now,
-                &self.store,
-                &self.topology,
-                gate,
-                &mut slot.scratch,
-                &mut slot.outcomes[i],
-            );
-        }
-    }
-
-    /// Fans the per-router compute over the persistent pool: shard `s`
-    /// computes its contiguous span into slot `s`. Shards are pinned to
-    /// workers, so a slot's arena stays warm in one worker's cache
+    /// Runs [`crate::phase::compute_router`] for every router, shard `s`
+    /// computing its contiguous span into slot `s`. Routers are disjoint
+    /// state and the function is pure, so any shard count fills
+    /// bit-identical outcomes in the same node order. Shards are pinned
+    /// to threads, so a slot's arena stays warm in one thread's cache
     /// across cycles.
-    #[cfg(feature = "parallel")]
-    fn compute_phase_sharded(&self, slots: &mut [Mutex<ShardSlot>]) {
+    fn compute_phase(&self, slots: &mut [Mutex<ShardSlot>]) {
         let now = self.now;
         let gate = self.phase_gate();
         let slots: &[Mutex<ShardSlot>] = slots;
         self.run_sharded(&|shard| {
             let span = self.shard_span(shard);
-            // Uncontended by construction: worker `shard` is the only
-            // thread that ever touches slot `shard` during a run.
+            // Uncontended by construction: one thread owns shard `shard`
+            // (see `run_sharded`), so it alone touches slot `shard`.
             let mut slot = match slots[shard].lock() {
                 Ok(slot) => slot,
                 Err(poisoned) => poisoned.into_inner(),
@@ -931,7 +890,6 @@ mod tests {
     /// Sharding only changes scheduling of the pure compute phase, so
     /// every router's full state and every counter must match the
     /// single-shard run bit for bit, cycle by cycle.
-    #[cfg(feature = "parallel")]
     #[test]
     fn sharded_compute_matches_serial() {
         let run = |shards: usize| {

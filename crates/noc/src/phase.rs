@@ -17,9 +17,9 @@
 //!
 //! Because every router's outcome depends only on the cycle-start
 //! snapshot, the compute phase may run for all routers in any order —
-//! or in parallel (`parallel` feature) — and the result is identical by
-//! construction. All mutation happens afterwards in the commit pass
-//! ([`crate::commit`]), in fixed node order.
+//! or in parallel (`NocConfig::compute_shards`) — and the result is
+//! identical by construction. All mutation happens afterwards in the
+//! commit pass ([`crate::commit`]), in fixed node order.
 
 use crate::config::FlowControl;
 use crate::packet::{Flit, PacketClass, PacketId, PacketStore, Payload};

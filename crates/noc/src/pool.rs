@@ -4,7 +4,7 @@
 //! (`std::thread::scope` in `network.rs`), so each tick paid thread
 //! creation, stack setup, and teardown — tens of microseconds against a
 //! per-cycle compute of a few microseconds on small meshes. That made
-//! `parallel` a *pessimization* (BENCH_pr3: speedup 0.952). This pool
+//! sharding a *pessimization* (BENCH_pr3: speedup 0.952). This pool
 //! spawns its workers **once** when the [`crate::Network`] is built and
 //! parks them between cycles; a tick hands work over with one
 //! mutex/condvar rendezvous instead of N thread spawns.
@@ -14,12 +14,13 @@
 //! Shared state holds an `epoch` counter and an optional type-erased
 //! task pointer. [`WorkerPool::run`] publishes the task, bumps the
 //! epoch, and wakes the workers; each worker runs the task with its own
-//! index (shards are pinned to workers, so shard *k*'s arena stays in
-//! worker *k*'s cache across cycles), then decrements `remaining`. The
-//! caller's thread runs shard 0 itself — the pool only ever parks
-//! `shards - 1` threads — and then blocks on the `done` condvar until
-//! `remaining` hits zero. A worker re-runs only when the epoch moves
-//! again, so a slow wake-up cannot double-execute a cycle.
+//! index (the network pins each shard to one index, so a shard's arena
+//! stays in one worker's cache across cycles), then decrements
+//! `remaining`. The caller's thread runs index 0 itself — a network
+//! parks `min(shards, host cores) - 1` workers — and then blocks on the
+//! `done` condvar until `remaining` hits zero. A worker re-runs only
+//! when the epoch moves again, so a slow wake-up cannot double-execute
+//! a cycle.
 //!
 //! # Why the one `unsafe` is sound
 //!

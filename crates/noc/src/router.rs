@@ -376,8 +376,8 @@ impl Router {
     /// Checks this router's internal legality: buffer bounds, DISCO lock
     /// state, credit bounds, and the input-state/output-allocation
     /// bijection. Always compiled; [`crate::Network::tick`] calls it every
-    /// cycle when the `validate` feature is enabled, so the static CDG
-    /// pass (`disco-verify`) and the simulator cross-check each other.
+    /// cycle in debug builds, so the static CDG pass (`disco-verify`)
+    /// and the simulator cross-check each other.
     ///
     /// # Errors
     ///

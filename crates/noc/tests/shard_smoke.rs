@@ -1,6 +1,6 @@
 //! Minimal pinned workload for the sanitizer CI legs (Miri and
-//! ThreadSanitizer run this against the `parallel` compute-shard
-//! kernel). Deliberately tiny — a 2x2 mesh, eight packets, a bounded
+//! ThreadSanitizer run this against the compute-shard worker pool).
+//! Deliberately tiny — a 2x2 mesh, eight packets, a bounded
 //! tick budget — because interpreted/instrumented executions are orders
 //! of magnitude slower than native. No filesystem, environment, clock,
 //! or randomness: everything a data race could corrupt is checked by
@@ -17,6 +17,16 @@ fn run(shards: usize) -> (Vec<(u64, usize, u64)>, String) {
         ..NocConfig::default()
     };
     let mut net = Network::new(Mesh::new(2, 2), config);
+    // On a multi-core host 2 shards must really park a worker, or the
+    // sanitizers would silently stop covering the pool.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if shards == 2 && cores >= 2 {
+        assert_eq!(
+            net.pool_workers(),
+            1,
+            "2 shards on {cores} cores park 1 worker"
+        );
+    }
     let mut tag = 0u64;
     for src in 0..4usize {
         for dst in 0..4usize {
@@ -55,9 +65,8 @@ fn run(shards: usize) -> (Vec<(u64, usize, u64)>, String) {
     (deliveries, format!("{:?}", net.stats()))
 }
 
-/// The parallel compute phase must be byte-identical to the serial one:
-/// same delivery cycles, same order, same stats. Without the `parallel`
-/// feature the shard request degrades to 1 and this is a self-check.
+/// The sharded compute phase must be byte-identical to the serial one:
+/// same delivery cycles, same order, same stats.
 #[test]
 fn two_shards_match_serial_exactly() {
     let (serial_deliveries, serial_stats) = run(1);

@@ -68,16 +68,21 @@ pub fn run_point_checked<T, K: PartialEq>(
 
 /// The structured warning for worker/shard over-subscription: asking
 /// for more concurrent OS threads than the host has cores measures
-/// scheduler noise, not the simulator. Returns a single JSON line, or
-/// `None` when the configuration is sound.
+/// scheduler noise, not the simulator. Each worker's network runs at
+/// most `min(shards, host_cores)` threads, so that is what a worker
+/// counts for. Returns a single JSON line, or `None` when the
+/// configuration is sound.
 pub fn oversubscription_warning(
     label: &str,
     workers: usize,
     shards_per_worker: usize,
     host_cores: usize,
 ) -> Option<String> {
-    let requested = workers.max(1) * shards_per_worker.max(1);
-    if host_cores == 0 || requested <= host_cores {
+    if host_cores == 0 {
+        return None;
+    }
+    let requested = workers.max(1) * shards_per_worker.clamp(1, host_cores);
+    if requested <= host_cores {
         return None;
     }
     Some(format!(
@@ -154,6 +159,10 @@ mod tests {
         let w = oversubscription_warning("sweep", 8, 2, 8).expect("warns");
         assert!(w.contains("\"requested_threads\":16"));
         assert!(w.contains("thread_oversubscription"));
+        // A network never runs more threads than the host has cores.
+        assert!(oversubscription_warning("pareto", 1, 4, 2).is_none());
+        let w = oversubscription_warning("pareto", 2, 4, 2).expect("warns");
+        assert!(w.contains("\"requested_threads\":4"));
         // Unknown host parallelism: stay quiet rather than guess.
         assert!(oversubscription_warning("sweep", 64, 4, 0).is_none());
     }

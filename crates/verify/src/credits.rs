@@ -32,7 +32,7 @@
 //! checks the *implementation* follows them: it drains traffic through a
 //! real [`disco_noc::Network`] and asserts every (link, VC) ledger
 //! returns to exactly `c == buffer_depth` at quiescence. This is
-//! strictly stronger than the runtime `validate` check, which only
+//! strictly stronger than the per-cycle debug-build check, which only
 //! bounds `credits + occupancy ≤ depth` mid-flight.
 
 use crate::explorer::{self, ExploreOptions, ExploreReport, TransitionSystem};

@@ -26,12 +26,12 @@ verify:
 verify-json:
     cargo xtask verify --json VERIFY_REPORT.json
 
-# Workspace tests (traced and faulty legs included), plus the NoC suite
-# with per-cycle invariant validation and the sharded determinism legs.
+# Workspace tests (traced, faulty and sharded legs included; test builds
+# check the NoC invariants every cycle), plus the slow ignored
+# determinism matrix.
 test:
     cargo test --workspace -q
-    cargo test -q -p disco-noc --features validate
-    cargo test -q -p disco -p disco-noc -p disco-core --features parallel
+    cargo test -q -p disco --test determinism -- --ignored
 
 # Regenerate the EXPERIMENTS.md provenance tables and the sample trace
 # exports (results/trace_disco_4x4.json / .jsonl, untracked).

@@ -1,12 +1,11 @@
 //! Determinism matrix: the phase-split cycle kernel must produce
 //! byte-identical stats regardless of how many shards the compute phase
-//! runs on. Serial builds ignore `compute_shards`, so there the matrix
-//! degenerates to a (cheap) self-comparison; under `--features parallel`
-//! it pins the real property — commit order, not thread schedule,
-//! decides every outcome. Tracing and fault injection are runtime
-//! options, so every build also runs the traced and faulty legs. CI
-//! runs this file under all four feature combinations (default,
-//! `parallel`, `validate`, `parallel,validate`).
+//! runs on. Every build honours `compute_shards`, so each comparison
+//! runs the worker pool against the serial path and pins the real
+//! property — commit order, not thread schedule, decides every outcome.
+//! Test builds carry debug assertions, so every run here also checks the
+//! NoC invariants each cycle. The wider 16x16 matrix is `#[ignore]`d;
+//! CI runs it with `cargo test --test determinism -- --ignored`.
 
 use disco::core::{CompressionPlacement, SimBuilder, SimReport};
 use disco::noc::{NocConfig, RoutingAlgorithm, TopologyChoice};
@@ -122,22 +121,20 @@ fn one_router_per_shard_matches_serial() {
     assert_eq!(serial, extreme);
 }
 
-/// A sharded run must also satisfy the runtime invariant checker: when
-/// the `validate` feature is on (CI's `parallel,validate` job), this run
-/// walks credit conservation and VC-state legality every cycle.
+/// A sharded run must also satisfy the runtime invariant checker: in
+/// debug builds (every test build) this run walks credit conservation
+/// and VC-state legality every cycle.
 #[test]
 fn sharded_run_passes_validation() {
     let stats = stats_with_shards(11, CompressionPlacement::Disco, RoutingAlgorithm::Xy, 4);
     assert!(stats.contains("noc.routing_violations = 0"));
 }
 
-/// The 16x16 leg: at 256 routers the parallel build actually engages
-/// the persistent worker pool (auto-sharding refuses to split meshes
-/// smaller than 16 routers per shard), so this is the configuration
-/// where a commit-order bug or a pool race would first become visible.
-/// 3 seeds × {Baseline, DISCO} × shards {1, 4, 16}, byte-compared.
-#[test]
-fn large_mesh_is_shard_invariant() {
+/// Byte-compares 16x16 runs at 4 and 16 shards against the serial run
+/// for every `(seed, placement)` point. At 256 routers every shard spans
+/// whole mesh rows, so this is where a commit-order bug or a pool race
+/// would first become visible.
+fn assert_large_mesh_shard_invariant(seeds: &[u64], placements: &[CompressionPlacement]) {
     let stats_16x16 = |seed: u64, placement: CompressionPlacement, shards: usize| {
         let noc = NocConfig {
             compute_shards: shards,
@@ -152,24 +149,7 @@ fn large_mesh_is_shard_invariant() {
             .noc(noc)
             .run()
             .expect("16x16 matrix run drains");
-        let mut buf = Vec::new();
-        report.write_stats(&mut buf).expect("in-memory write");
-        String::from_utf8(buf).expect("stats are utf8")
-    };
-    // Serial builds ignore `compute_shards`, so each comparison there
-    // is a self-check; one matrix point keeps the default-feature test
-    // tier fast. The parallel build — where the pool actually runs —
-    // covers the full 3-seed × 2-placement matrix (CI's `parallel*`
-    // legs).
-    let seeds: &[u64] = if cfg!(feature = "parallel") {
-        &[1, 2, 3]
-    } else {
-        &[1]
-    };
-    let placements: &[CompressionPlacement] = if cfg!(feature = "parallel") {
-        &[CompressionPlacement::Baseline, CompressionPlacement::Disco]
-    } else {
-        &[CompressionPlacement::Disco]
+        stats_text(&report)
     };
     for &seed in seeds {
         for &placement in placements {
@@ -185,20 +165,43 @@ fn large_mesh_is_shard_invariant() {
     }
 }
 
-/// Dropping to 1 shard must route through the serial compute path with
-/// no worker pool spun up — a single-shard "parallel" run that parked a
-/// thread anyway would pay rendezvous cost for nothing. Conversely, a
-/// parallel build asked for N shards must hold N-1 parked workers
-/// (index 0 runs on the caller's thread).
+/// The 16x16 leg at one matrix point, cheap enough for every test run.
+#[test]
+fn large_mesh_is_shard_invariant() {
+    assert_large_mesh_shard_invariant(&[1], &[CompressionPlacement::Disco]);
+}
+
+/// The full 3-seed × {Baseline, DISCO} 16x16 matrix. Too slow for the
+/// default test run; CI runs it with `--ignored`.
+#[test]
+#[ignore = "slow: CI runs it with --ignored"]
+fn large_mesh_full_matrix_is_shard_invariant() {
+    assert_large_mesh_shard_invariant(
+        &[1, 2, 3],
+        &[CompressionPlacement::Baseline, CompressionPlacement::Disco],
+    );
+}
+
+/// Pool sizing. One shard must route through the inline path with no
+/// worker pool spun up — a single-shard run that parked a thread anyway
+/// would pay rendezvous cost for nothing — and so must the default
+/// (auto) configuration at every size the repository simulates. An
+/// explicit shard count parks `min(shards, host cores) - 1` workers
+/// (the caller's thread is the last one).
 #[test]
 fn single_shard_spins_up_no_pool() {
     use disco::noc::{Mesh, Network};
 
-    let noc = NocConfig {
-        compute_shards: 1,
-        ..NocConfig::default()
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let with_shards = |side: usize, shards: usize| {
+        let noc = NocConfig {
+            compute_shards: shards,
+            ..NocConfig::default()
+        };
+        Network::new(Mesh::new(side, side), noc)
     };
-    let net = Network::new(Mesh::new(4, 4), noc);
+
+    let net = with_shards(4, 1);
     assert_eq!(net.compute_shards(), 1);
     assert_eq!(
         net.pool_workers(),
@@ -206,20 +209,27 @@ fn single_shard_spins_up_no_pool() {
         "1 shard must not spin up a worker pool"
     );
 
-    #[cfg(feature = "parallel")]
-    {
-        let noc = NocConfig {
-            compute_shards: 4,
-            ..NocConfig::default()
-        };
-        let net = Network::new(Mesh::new(4, 4), noc);
-        assert_eq!(net.compute_shards(), 4);
+    for side in [8, 16, 32, 64] {
+        let net = Network::new(Mesh::new(side, side), NocConfig::default());
+        assert_eq!(
+            net.compute_shards(),
+            1,
+            "auto stays serial at {side}x{side}"
+        );
         assert_eq!(
             net.pool_workers(),
-            3,
-            "4 shards must hold exactly 3 parked workers"
+            0,
+            "auto must not spin up a pool at {side}x{side}"
         );
     }
+
+    let net = with_shards(4, 4);
+    assert_eq!(net.compute_shards(), 4);
+    assert_eq!(
+        net.pool_workers(),
+        4.min(cores) - 1,
+        "4 shards on {cores} core(s) park min(4, cores) - 1 workers"
+    );
 }
 
 /// Fault injection must not weaken the determinism contract: the fault
@@ -321,8 +331,7 @@ fn trace_capture_matches_untraced_run() {
 /// The trace is part of the determinism contract too: every event is
 /// committed in node order and stamped with the simulated cycle (never
 /// wall-clock), so the exported JSONL must be byte-identical at any
-/// shard count. Without `parallel` the shard request is ignored and the
-/// comparison is a self-check.
+/// shard count.
 #[test]
 fn trace_jsonl_is_shard_invariant() {
     let export = |shards: usize| {
