@@ -20,121 +20,65 @@
 //! Exit status: 0 on success, 1 on usage/queue errors or failed jobs,
 //! 3 when stopped early by the chunk budget with work remaining.
 
+use disco_bench::cli::{self, Flags};
 use disco_bench::serve::{parse_queue, serve, ServeOpts};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Args {
-    queue: PathBuf,
-    out_dir: PathBuf,
-    threads: usize,
-    max_chunks: Option<u64>,
-    validate_only: bool,
-}
-
 const USAGE: &str = "usage: disco-serve --queue <jobs.json> --out <dir> \
                      [--threads N] [--max-chunks N] [--validate-only]";
 
-fn parse_args() -> Result<Args, String> {
-    let mut queue = None;
-    let mut out_dir = None;
-    let mut threads = 1;
-    let mut max_chunks = None;
-    let mut validate_only = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| it.next().ok_or(format!("{arg} needs a {what}"));
-        match arg.as_str() {
-            "--queue" => queue = Some(PathBuf::from(value("path")?)),
-            "--out" => out_dir = Some(PathBuf::from(value("path")?)),
-            "--threads" => {
-                threads = value("count")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--max-chunks" => {
-                max_chunks = Some(
-                    value("count")?
-                        .parse()
-                        .map_err(|e| format!("--max-chunks: {e}"))?,
-                );
-            }
-            "--validate-only" => validate_only = true,
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
-        }
-    }
-    Ok(Args {
-        queue: queue.ok_or(format!("--queue is required\n{USAGE}"))?,
-        out_dir: out_dir.ok_or(format!("--out is required\n{USAGE}"))?,
-        threads,
-        max_chunks,
-        validate_only,
-    })
+fn parse_args() -> Result<(PathBuf, ServeOpts, bool), String> {
+    let flags = Flags::from_env(
+        &["--queue", "--out", "--threads", "--max-chunks"],
+        &["--validate-only"],
+    )?;
+    let queue = flags.required("--queue")?;
+    let opts = ServeOpts {
+        out_dir: flags.required("--out")?,
+        threads: flags.get("--threads", 1)?,
+        max_chunks: flags.opt("--max-chunks")?,
+    };
+    Ok((queue, opts, flags.switch("--validate-only")))
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let text = match std::fs::read_to_string(&args.queue) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("disco-serve: cannot read {}: {e}", args.queue.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let (cfg, warnings) = match parse_queue(&text) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("disco-serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    cli::exit_status("disco-serve", run())
+}
+
+fn run() -> Result<ExitCode, String> {
+    let (queue, opts, validate_only) = parse_args().map_err(|e| format!("{e}\n{USAGE}"))?;
+    let text = std::fs::read_to_string(&queue)
+        .map_err(|e| format!("cannot read {}: {e}", queue.display()))?;
+    let (cfg, warnings) = parse_queue(&text)?;
     for w in &warnings {
         eprintln!("{w}");
     }
-    if args.validate_only {
+    if validate_only {
         println!(
             "queue ok: {} jobs, checkpoint every {} cycles, {} warnings",
             cfg.jobs.len(),
             cfg.checkpoint_every,
             warnings.len()
         );
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
-    let opts = ServeOpts {
-        out_dir: args.out_dir,
-        threads: args.threads,
-        max_chunks: args.max_chunks,
-    };
-    match serve(&cfg, &opts) {
-        Ok(summary) => {
-            println!(
-                "disco-serve: {} completed, {} already done, {} resumed, \
-                 {} interrupted, {} cancelled, {} failed",
-                summary.completed,
-                summary.already_done,
-                summary.resumed,
-                summary.interrupted,
-                summary.cancelled,
-                summary.failed
-            );
-            if summary.failed > 0 {
-                ExitCode::FAILURE
-            } else if summary.interrupted > 0 {
-                ExitCode::from(3)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("disco-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let summary = serve(&cfg, &opts)?;
+    println!(
+        "disco-serve: {} completed, {} already done, {} resumed, \
+         {} interrupted, {} cancelled, {} failed",
+        summary.completed,
+        summary.already_done,
+        summary.resumed,
+        summary.interrupted,
+        summary.cancelled,
+        summary.failed
+    );
+    Ok(if summary.failed > 0 {
+        ExitCode::FAILURE
+    } else if summary.interrupted > 0 {
+        ExitCode::from(3)
+    } else {
+        ExitCode::SUCCESS
+    })
 }

@@ -16,10 +16,12 @@
 //! `cargo run --release -p disco-bench --bin fault_sweep -- \
 //!     [--mesh 4] [--rates 0.0,1e-5,1e-4,1e-3] [--quick] [--out BENCH_pr5.json]`
 
+use disco_bench::cli::{self, Flags};
 use disco_core::{CompressionPlacement, SimBuilder};
 use disco_faults::{FaultPlan, FaultStats};
+use disco_pareto::exec::injection_warning;
+use disco_pareto::json::Json;
 use disco_workloads::Benchmark;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 /// Rates at and below which the sweep demands 100% recovery.
@@ -34,40 +36,21 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        mesh: 4,
-        rates: vec![0.0, 1e-5, 1e-4, 1e-3],
-        trace_len: disco_bench::trace_len().min(6_000),
-        out: "BENCH_pr5.json".to_string(),
-        quick: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        if flag == "--quick" {
-            args.quick = true;
-            continue;
-        }
-        let value = it
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))?;
-        let bad = |what: &str| format!("invalid {what}: {value}");
-        match flag.as_str() {
-            "--mesh" => args.mesh = value.parse().map_err(|_| bad("--mesh"))?,
-            "--rates" => {
-                args.rates = value
-                    .split(',')
-                    .map(|r| r.trim().parse().map_err(|_| bad("--rates")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--out" => args.out = value,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.quick {
-        args.rates = vec![0.0, 1e-4];
-        args.trace_len = args.trace_len.min(1_500);
-    }
-    Ok(args)
+    let flags = Flags::from_env(&["--mesh", "--rates", "--out"], &["--quick"])?;
+    let quick = flags.switch("--quick");
+    let rates = flags.list("--rates", vec![0.0, 1e-5, 1e-4, 1e-3])?;
+    let trace_len = disco_bench::trace_len().min(6_000);
+    Ok(Args {
+        mesh: flags.get("--mesh", 4)?,
+        rates: if quick { vec![0.0, 1e-4] } else { rates },
+        trace_len: if quick {
+            trace_len.min(1_500)
+        } else {
+            trace_len
+        },
+        out: flags.get("--out", "BENCH_pr5.json".to_string())?,
+        quick,
+    })
 }
 
 struct Row {
@@ -111,9 +94,7 @@ fn run_point(
         if f.injected == 0 {
             let label = format!("{benchmark}/{}", placement.name());
             let sites = disco_bench::serve::injection_sites(args.mesh * args.mesh);
-            if let Some(w) =
-                disco_bench::serve::injection_warning(&label, rate, report.cycles, sites)
-            {
+            if let Some(w) = injection_warning(&label, rate, report.cycles, sites) {
                 eprintln!("{w}");
             }
         }
@@ -144,13 +125,11 @@ fn run_point(
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("fault_sweep: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    cli::exit_status("fault_sweep", run())
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = parse_args()?;
     let placements = [CompressionPlacement::Baseline, CompressionPlacement::Disco];
     println!(
         "fault_sweep: {}x{} mesh, {} accesses/core, rates {:?}{}",
@@ -220,48 +199,37 @@ fn main() -> ExitCode {
         bounded_unrecoverable == 0,
     );
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"fault_sweep\",");
-    let _ = writeln!(json, "  \"mesh\": \"{}x{}\",", args.mesh, args.mesh);
-    let _ = writeln!(json, "  \"trace_len\": {},", args.trace_len);
-    let _ = writeln!(json, "  \"quick\": {},", args.quick);
-    let _ = writeln!(json, "  \"recovery_bound\": {RECOVERY_BOUND},");
-    let _ = writeln!(json, "  \"total_injected\": {},", total.injected);
-    let _ = writeln!(json, "  \"total_recovered\": {},", total.recovered);
-    let _ = writeln!(json, "  \"total_unrecoverable\": {},", total.unrecoverable);
-    let _ = writeln!(json, "  \"total_undetected\": {},", total.undetected);
-    let _ = writeln!(json, "  \"points\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
+    let points = rows.iter().map(|row| {
         let f = row.faults.unwrap_or_default();
-        let _ = writeln!(
-            json,
-            "    {{\"benchmark\": \"{}\", \"placement\": \"{}\", \"rate\": {:e}, \
-             \"cycles\": {}, \"avg_onchip_latency\": {:.4}, \"injected\": {}, \
-             \"detected\": {}, \"recovered\": {}, \"unrecoverable\": {}, \
-             \"retries\": {}, \"fallback_deliveries\": {}, \"undetected\": {}}}{}",
-            row.benchmark,
-            row.placement.name(),
-            row.rate,
-            row.cycles,
-            row.avg_onchip_latency,
-            f.injected,
-            f.detected,
-            f.recovered,
-            f.unrecoverable,
-            f.retries,
-            f.fallback_deliveries,
-            f.undetected,
-            sep
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("fault_sweep: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
+        Json::obj([
+            ("benchmark", Json::str(row.benchmark.to_string())),
+            ("placement", Json::str(row.placement.name())),
+            ("rate", Json::num(format_args!("{:e}", row.rate))),
+            ("cycles", Json::num(row.cycles)),
+            ("avg_onchip_latency", Json::fixed(row.avg_onchip_latency, 4)),
+            ("injected", Json::num(f.injected)),
+            ("detected", Json::num(f.detected)),
+            ("recovered", Json::num(f.recovered)),
+            ("unrecoverable", Json::num(f.unrecoverable)),
+            ("retries", Json::num(f.retries)),
+            ("fallback_deliveries", Json::num(f.fallback_deliveries)),
+            ("undetected", Json::num(f.undetected)),
+        ])
+    });
+    let json = Json::obj([
+        ("bench", Json::str("fault_sweep")),
+        ("mesh", Json::str(format!("{0}x{0}", args.mesh))),
+        ("trace_len", Json::num(args.trace_len)),
+        ("quick", Json::Bool(args.quick)),
+        ("recovery_bound", Json::num(RECOVERY_BOUND)),
+        ("total_injected", Json::num(total.injected)),
+        ("total_recovered", Json::num(total.recovered)),
+        ("total_unrecoverable", Json::num(total.unrecoverable)),
+        ("total_undetected", Json::num(total.undetected)),
+        ("points", Json::Arr(points.collect())),
+    ]);
+    std::fs::write(&args.out, format!("{json:#}\n"))
+        .map_err(|e| format!("cannot write {}: {e}", args.out))?;
     println!("fault_sweep: -> {}", args.out);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

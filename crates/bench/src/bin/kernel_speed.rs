@@ -22,10 +22,11 @@
 //! one host to compare against a committed number. Same-host
 //! parent-versus-change comparisons are `disco-benchmark`'s job.
 
+use disco_bench::cli::{self, Flags};
 use disco_bench::sweep::{run_point, PointResult, SweepPoint};
 use disco_noc::traffic::TrafficPattern;
 use disco_noc::TopologyChoice;
-use std::fmt::Write as _;
+use disco_pareto::json::Json;
 use std::process::ExitCode;
 
 /// Committed PR 3 reference (BENCH_pr3.json): 8x8 serial cycles/s, mean
@@ -38,71 +39,6 @@ const PR3_PARALLEL_SPEEDUP: f64 = 0.952;
 /// pool result this bin originally snapshot.
 const PR7_SERIAL_8X8_CPS: f64 = 86_056.0;
 const PR7_PARALLEL_SPEEDUP: f64 = 0.833;
-
-struct Args {
-    meshes: Vec<usize>,
-    topology: TopologyChoice,
-    cycles: u64,
-    rate: f64,
-    shards: usize,
-    seeds: Vec<u64>,
-    out: String,
-    gate_speedup: f64,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        meshes: vec![8, 16, 32, 64],
-        topology: TopologyChoice::Mesh,
-        cycles: 0,
-        rate: 0.1,
-        shards: 0,
-        seeds: vec![disco_bench::DEFAULT_SEED, disco_bench::DEFAULT_SEED + 2],
-        out: "BENCH_pr7.json".to_string(),
-        gate_speedup: 0.0,
-    };
-    let parse_list = |value: &str, what: &str| -> Result<Vec<u64>, String> {
-        value
-            .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse()
-                    .map_err(|_| format!("invalid {what}: {value}"))
-            })
-            .collect()
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let value = it
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))?;
-        let bad = |what: &str| format!("invalid {what}: {value}");
-        match flag.as_str() {
-            "--meshes" => {
-                args.meshes = parse_list(&value, "--meshes")?
-                    .into_iter()
-                    .map(|m| m as usize)
-                    .collect();
-            }
-            "--topology" => {
-                args.topology = TopologyChoice::parse(&value).ok_or_else(|| bad("--topology"))?;
-            }
-            "--cycles" => args.cycles = value.parse().map_err(|_| bad("--cycles"))?,
-            "--rate" => args.rate = value.parse().map_err(|_| bad("--rate"))?,
-            "--shards" => args.shards = value.parse().map_err(|_| bad("--shards"))?,
-            "--seeds" => args.seeds = parse_list(&value, "--seeds")?,
-            "--out" => args.out = value,
-            "--gate-speedup" => {
-                args.gate_speedup = value.parse().map_err(|_| bad("--gate-speedup"))?;
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if args.meshes.is_empty() || args.seeds.is_empty() {
-        return Err("need at least one mesh and one seed".to_string());
-    }
-    Ok(args)
-}
 
 /// Auto cycle budget: keep the serial leg of each mesh size in the same
 /// wall-clock ballpark (cycles/s falls roughly with router count).
@@ -183,30 +119,87 @@ fn run_mesh(
     }
 }
 
+impl MeshResult {
+    fn to_json(&self) -> Json {
+        let points = self.points.iter().map(|(s, f)| {
+            let speedup = f.cycles_per_sec / s.cycles_per_sec.max(1e-9);
+            Json::obj([
+                ("seed", Json::num(s.point.seed)),
+                ("packets_delivered", Json::num(s.stats.packets_delivered)),
+                ("serial_cycles_per_s", Json::fixed(s.cycles_per_sec, 0)),
+                ("sharded_cycles_per_s", Json::fixed(f.cycles_per_sec, 0)),
+                ("speedup", Json::fixed(speedup, 3)),
+            ])
+        });
+        Json::obj([
+            ("mesh", Json::str(format!("{0}x{0}", self.mesh))),
+            ("cycles_per_point", Json::num(self.cycles)),
+            ("points", Json::Arr(points.collect())),
+            ("serial_cycles_per_s", Json::fixed(self.serial_cps, 0)),
+            ("sharded_cycles_per_s", Json::fixed(self.sharded_cps, 0)),
+            ("speedup", Json::fixed(self.speedup, 3)),
+        ])
+    }
+}
+
+/// One `trajectory` entry: a milestone's 8x8 serial throughput and
+/// parallel speedup.
+fn milestone(pr: &str, serial_8x8: f64, speedup: Json, note: &str) -> Json {
+    Json::obj([
+        ("pr", Json::str(pr)),
+        ("serial_8x8_cycles_per_s", Json::fixed(serial_8x8, 0)),
+        ("parallel_speedup", speedup),
+        ("note", Json::str(note)),
+    ])
+}
+
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("kernel_speed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    cli::exit_status("kernel_speed", run())
+}
+
+fn run() -> Result<ExitCode, String> {
+    let flags = Flags::from_env(
+        &[
+            "--meshes",
+            "--topology",
+            "--cycles",
+            "--rate",
+            "--shards",
+            "--seeds",
+            "--out",
+            "--gate-speedup",
+        ],
+        &[],
+    )?;
+    let mesh_sizes: Vec<usize> = flags.list("--meshes", vec![8, 16, 32, 64])?;
+    let topology = flags
+        .opt_with("--topology", TopologyChoice::parse)?
+        .unwrap_or(TopologyChoice::Mesh);
+    let requested_cycles = flags.get("--cycles", 0)?;
+    let rate = flags.get("--rate", 0.1)?;
+    let requested_shards = flags.get("--shards", 0)?;
+    let default_seeds = vec![disco_bench::DEFAULT_SEED, disco_bench::DEFAULT_SEED + 2];
+    let seeds: Vec<u64> = flags.list("--seeds", default_seeds)?;
+    let out = flags.get("--out", "BENCH_pr7.json".to_string())?;
+    let gate_speedup = flags.get("--gate-speedup", 0.0)?;
+    if mesh_sizes.is_empty() || seeds.is_empty() {
+        return Err("need at least one mesh and one seed".to_string());
+    }
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let shards = if args.shards == 0 {
+    let shards = if requested_shards == 0 {
         host_cores
     } else {
-        args.shards
+        requested_shards
     };
 
     let mut meshes = Vec::new();
-    for &mesh in &args.meshes {
-        let cycles = cycles_for(mesh, args.cycles);
+    for &mesh in &mesh_sizes {
+        let cycles = cycles_for(mesh, requested_cycles);
         println!(
-            "kernel_speed: {mesh}x{mesh} {}, {cycles} cycles x {} seed(s), serial then {shards} shards",
-            args.topology,
-            args.seeds.len()
+            "kernel_speed: {mesh}x{mesh} {topology}, {cycles} cycles x {} seed(s), serial then {shards} shards",
+            seeds.len()
         );
-        let result = run_mesh(args.topology, mesh, cycles, args.rate, shards, &args.seeds);
+        let result = run_mesh(topology, mesh, cycles, rate, shards, &seeds);
         println!(
             "kernel_speed: {mesh}x{mesh}: serial {:.0} c/s, sharded {:.0} c/s, speedup {:.3}x",
             result.serial_cps, result.sharded_cps, result.speedup
@@ -222,97 +215,57 @@ fn main() -> ExitCode {
         .unwrap_or(0.0);
     let speedup_16x16 = meshes.iter().find(|m| m.mesh == 16).map(|m| m.speedup);
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"kernel_speed\",");
-    let _ = writeln!(json, "  \"topology\": \"{}\",", args.topology);
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"shards\": {shards},");
-    let _ = writeln!(json, "  \"rate\": {},", args.rate);
-    let _ = writeln!(json, "  \"meshes\": [");
-    for (i, m) in meshes.iter().enumerate() {
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"mesh\": \"{}x{}\",", m.mesh, m.mesh);
-        let _ = writeln!(json, "      \"cycles_per_point\": {},", m.cycles);
-        let _ = writeln!(json, "      \"points\": [");
-        for (j, (s, f)) in m.points.iter().enumerate() {
-            let sep = if j + 1 < m.points.len() { "," } else { "" };
-            let _ = writeln!(
-                json,
-                "        {{\"seed\": {}, \"packets_delivered\": {}, \
-                 \"serial_cycles_per_s\": {:.0}, \"sharded_cycles_per_s\": {:.0}, \
-                 \"speedup\": {:.3}}}{}",
-                s.point.seed,
-                s.stats.packets_delivered,
-                s.cycles_per_sec,
-                f.cycles_per_sec,
-                f.cycles_per_sec / s.cycles_per_sec.max(1e-9),
-                sep
-            );
-        }
-        let _ = writeln!(json, "      ],");
-        let _ = writeln!(json, "      \"serial_cycles_per_s\": {:.0},", m.serial_cps);
-        let _ = writeln!(
-            json,
-            "      \"sharded_cycles_per_s\": {:.0},",
-            m.sharded_cps
-        );
-        let _ = writeln!(json, "      \"speedup\": {:.3}", m.speedup);
-        let sep = if i + 1 < meshes.len() { "," } else { "" };
-        let _ = writeln!(json, "    }}{sep}");
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"serial_8x8_cycles_per_s\": {serial_8x8:.0},");
-    if let Some(s) = speedup_16x16 {
-        let _ = writeln!(json, "  \"speedup_16x16\": {s:.3},");
-    }
-    let _ = writeln!(json, "  \"deterministic\": {deterministic},");
-    let _ = writeln!(json, "  \"trajectory\": [");
-    let _ = writeln!(
-        json,
-        "    {{\"pr\": \"pr3\", \"serial_8x8_cycles_per_s\": {PR3_SERIAL_8X8_CPS:.0}, \
-         \"parallel_speedup\": {PR3_PARALLEL_SPEEDUP}, \
-         \"note\": \"scoped threads spawned per cycle; per-cycle allocation in RC/VA/SA\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "    {{\"pr\": \"pr7\", \"serial_8x8_cycles_per_s\": {PR7_SERIAL_8X8_CPS:.0}, \
-         \"parallel_speedup\": {PR7_PARALLEL_SPEEDUP}, \
-         \"note\": \"persistent worker pool + zero-alloc per-shard arenas\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "    {{\"pr\": \"pr9\", \"serial_8x8_cycles_per_s\": {serial_8x8:.0}, \
-         \"parallel_speedup\": {}, \
-         \"note\": \"64x64 hundreds-of-cores leg added; checkpoint/restore + disco-serve land\"}}",
-        speedup_16x16.map_or_else(|| "null".to_string(), |s| format!("{s:.3}"))
-    );
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("kernel_speed: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    println!("kernel_speed: wrote {}", args.out);
+    let mut fields = vec![
+        ("bench", Json::str("kernel_speed")),
+        ("topology", Json::str(topology.to_string())),
+        ("host_cores", Json::num(host_cores)),
+        ("shards", Json::num(shards)),
+        ("rate", Json::num(rate)),
+        (
+            "meshes",
+            Json::Arr(meshes.iter().map(MeshResult::to_json).collect()),
+        ),
+        ("serial_8x8_cycles_per_s", Json::fixed(serial_8x8, 0)),
+    ];
+    fields.extend(speedup_16x16.map(|s| ("speedup_16x16", Json::fixed(s, 3))));
+    fields.push(("deterministic", Json::Bool(deterministic)));
+    let trajectory = [
+        milestone(
+            "pr3",
+            PR3_SERIAL_8X8_CPS,
+            Json::num(PR3_PARALLEL_SPEEDUP),
+            "scoped threads spawned per cycle; per-cycle allocation in RC/VA/SA",
+        ),
+        milestone(
+            "pr7",
+            PR7_SERIAL_8X8_CPS,
+            Json::num(PR7_PARALLEL_SPEEDUP),
+            "persistent worker pool + zero-alloc per-shard arenas",
+        ),
+        milestone(
+            "pr9",
+            serial_8x8,
+            speedup_16x16.map_or(Json::Null, |s| Json::fixed(s, 3)),
+            "64x64 hundreds-of-cores leg added; checkpoint/restore + disco-serve land",
+        ),
+    ];
+    fields.push(("trajectory", Json::Arr(trajectory.into())));
+    let json = format!("{:#}\n", Json::obj(fields));
+    std::fs::write(&out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
+    println!("kernel_speed: wrote {out}");
 
     let mut failed = false;
     if !deterministic {
         eprintln!("kernel_speed: FAIL sharded kernel diverged from serial kernel");
         failed = true;
     }
-    if args.gate_speedup > 0.0 {
+    if gate_speedup > 0.0 {
         match speedup_16x16 {
-            Some(s) if s >= args.gate_speedup => {
-                println!(
-                    "kernel_speed: gate ok: 16x16 speedup {s:.3}x >= {:.2}x",
-                    args.gate_speedup
-                );
+            Some(s) if s >= gate_speedup => {
+                println!("kernel_speed: gate ok: 16x16 speedup {s:.3}x >= {gate_speedup:.2}x");
             }
             Some(s) => {
-                eprintln!(
-                    "kernel_speed: FAIL 16x16 speedup {s:.3}x < required {:.2}x",
-                    args.gate_speedup
-                );
+                eprintln!("kernel_speed: FAIL 16x16 speedup {s:.3}x < required {gate_speedup:.2}x");
                 failed = true;
             }
             None => {
@@ -321,9 +274,9 @@ fn main() -> ExitCode {
             }
         }
     }
-    if failed {
+    Ok(if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }

@@ -19,89 +19,52 @@
 //! success, 1 on usage errors, 3 when the budget ran out with points
 //! remaining (rerun to continue).
 
+use disco_bench::cli::{self, Flags};
 use disco_pareto::journal::write_atomic;
 use disco_pareto::space::DesignSpace;
 use disco_pareto::{explore, ExploreConfig};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Args {
-    out: PathBuf,
-    grid: DesignSpace,
-    workers: usize,
-    shards: usize,
-    journal: Option<PathBuf>,
-    max_points: usize,
-}
-
 const USAGE: &str = "usage: pareto --out <frontier.json> [--grid smoke|full] \
                      [--workers N] [--shards N] [--journal <points.jsonl>] \
                      [--max-points N]";
 
-fn parse_args() -> Result<Args, String> {
-    let mut out = None;
-    let mut grid = DesignSpace::smoke();
-    let mut workers = 1;
-    let mut shards = 1;
-    let mut journal = None;
-    let mut max_points = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |what: &str| it.next().ok_or(format!("{arg} needs a {what}"));
-        match arg.as_str() {
-            "--out" => out = Some(PathBuf::from(value("path")?)),
-            "--grid" => {
-                grid = match value("name")?.as_str() {
-                    "smoke" => DesignSpace::smoke(),
-                    "full" => DesignSpace::full(),
-                    other => return Err(format!("unknown grid {other:?} (smoke or full)")),
-                };
-            }
-            "--workers" => {
-                workers = value("count")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--shards" => {
-                shards = value("count")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?;
-            }
-            "--journal" => journal = Some(PathBuf::from(value("path")?)),
-            "--max-points" => {
-                max_points = value("count")?
-                    .parse()
-                    .map_err(|e| format!("--max-points: {e}"))?;
-            }
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
-        }
-    }
-    Ok(Args {
-        out: out.ok_or(format!("--out is required\n{USAGE}"))?,
-        grid,
-        workers,
-        shards,
-        journal,
-        max_points,
-    })
+fn parse_args() -> Result<(PathBuf, ExploreConfig), String> {
+    let flags = Flags::from_env(
+        &[
+            "--out",
+            "--grid",
+            "--workers",
+            "--shards",
+            "--journal",
+            "--max-points",
+        ],
+        &[],
+    )?;
+    let grid = |name: &str| match name {
+        "smoke" => Some(DesignSpace::smoke()),
+        "full" => Some(DesignSpace::full()),
+        _ => None,
+    };
+    let cfg = ExploreConfig {
+        space: flags
+            .opt_with("--grid", grid)?
+            .unwrap_or_else(DesignSpace::smoke),
+        workers: flags.get("--workers", 1)?,
+        shards: flags.get("--shards", 1)?,
+        journal: flags.opt("--journal")?,
+        max_points: flags.get("--max-points", 0)?,
+    };
+    Ok((flags.required("--out")?, cfg))
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let cfg = ExploreConfig {
-        space: args.grid,
-        workers: args.workers,
-        shards: args.shards,
-        journal: args.journal,
-        max_points: args.max_points,
-    };
+    cli::exit_status("pareto", run())
+}
+
+fn run() -> Result<ExitCode, String> {
+    let (out, cfg) = parse_args().map_err(|e| format!("{e}\n{USAGE}"))?;
     let outcome = explore(&cfg);
     for w in &outcome.warnings {
         eprintln!("{w}");
@@ -116,19 +79,17 @@ fn main() -> ExitCode {
              rerun with the same --journal to continue",
             outcome.remaining
         );
-        return ExitCode::from(3);
+        return Ok(ExitCode::from(3));
     }
     let json = outcome.json.expect("fully explored");
     let frontier = outcome.frontier.expect("fully explored");
-    if let Err(e) = write_atomic(&args.out, json.as_bytes()) {
-        eprintln!("pareto: cannot write {}: {e}", args.out.display());
-        return ExitCode::FAILURE;
-    }
+    write_atomic(&out, json.as_bytes())
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     println!(
         "pareto: frontier {} / dominated {} -> {}",
         frontier.frontier.len(),
         frontier.dominated.len(),
-        args.out.display()
+        out.display()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

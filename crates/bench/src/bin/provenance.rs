@@ -6,6 +6,7 @@
 //! `cargo run --release -p disco-bench --bin provenance \
 //!     [-- --out-dir results]`
 
+use disco_bench::cli::{self, Flags};
 use disco_bench::{mean, trace_len, DEFAULT_SEED};
 use disco_compress::SchemeKind;
 use disco_core::{CompressionPlacement, SimBuilder, SimReport};
@@ -67,18 +68,11 @@ fn coverage(t: &ProvenanceTotals) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let mut out_dir = "results".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        match (flag.as_str(), it.next()) {
-            ("--out-dir", Some(v)) => out_dir = v,
-            (other, _) => {
-                eprintln!("provenance: unknown or valueless flag {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    cli::exit_status("provenance", run())
+}
 
+fn run() -> Result<ExitCode, String> {
+    let out_dir = Flags::from_env(&["--out-dir"], &[])?.get("--out-dir", "results".to_string())?;
     let len = trace_len();
     println!("provenance: 4x4 mesh, delta codec, {len} accesses/core, seed {DEFAULT_SEED}");
     println!();
@@ -172,24 +166,18 @@ fn main() -> ExitCode {
     let sample = run_traced(Benchmark::Blackscholes, CompressionPlacement::Disco, true);
     let t = sample.trace.as_ref().expect("capture requested");
     assert!(!t.records.is_empty(), "sample run must record events");
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("provenance: cannot create {out_dir}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
     let json_path = format!("{out_dir}/trace_disco_4x4.json");
     let jsonl_path = format!("{out_dir}/trace_disco_4x4.jsonl");
     let chrome = disco_trace::export::chrome_trace_string(&t.records);
     let jsonl = disco_trace::export::jsonl_string(&t.records);
-    if let Err(e) =
-        std::fs::write(&json_path, chrome).and_then(|()| std::fs::write(&jsonl_path, jsonl))
-    {
-        eprintln!("provenance: export failed: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(&json_path, chrome)
+        .and_then(|()| std::fs::write(&jsonl_path, jsonl))
+        .map_err(|e| format!("export failed: {e}"))?;
     println!();
     println!(
         "provenance: exported {} events -> {json_path} (Perfetto/chrome://tracing), {jsonl_path}",
         t.records.len()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

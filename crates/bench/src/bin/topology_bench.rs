@@ -9,12 +9,13 @@
 //!     [--mesh 4] [--cycles 5000] [--rate 0.1] [--trace-len 2000] \
 //!     [--out BENCH_pr8.json]`
 
+use disco_bench::cli::{self, Flags};
 use disco_bench::sweep::{run_point, SweepPoint};
 use disco_core::{CompressionPlacement, SimBuilder};
 use disco_noc::traffic::TrafficPattern;
 use disco_noc::TopologyChoice;
+use disco_pareto::json::Json;
 use disco_workloads::Benchmark;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 struct Args {
@@ -26,48 +27,23 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        mesh: 4,
-        cycles: 5_000,
-        rate: 0.1,
-        trace_len: 2_000,
-        out: "BENCH_pr8.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let value = it
-            .next()
-            .ok_or_else(|| format!("missing value for {flag}"))?;
-        let bad = |what: &str| format!("invalid {what}: {value}");
-        match flag.as_str() {
-            "--mesh" => args.mesh = value.parse().map_err(|_| bad("--mesh"))?,
-            "--cycles" => args.cycles = value.parse().map_err(|_| bad("--cycles"))?,
-            "--rate" => args.rate = value.parse().map_err(|_| bad("--rate"))?,
-            "--trace-len" => args.trace_len = value.parse().map_err(|_| bad("--trace-len"))?,
-            "--out" => args.out = value,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(args)
+    let flags = Flags::from_env(
+        &["--mesh", "--cycles", "--rate", "--trace-len", "--out"],
+        &[],
+    )?;
+    Ok(Args {
+        mesh: flags.get("--mesh", 4)?,
+        cycles: flags.get("--cycles", 5_000)?,
+        rate: flags.get("--rate", 0.1)?,
+        trace_len: flags.get("--trace-len", 2_000)?,
+        out: flags.get("--out", "BENCH_pr8.json".to_string())?,
+    })
 }
 
-struct TopologyResult {
-    topology: TopologyChoice,
-    routers: usize,
-    radix: usize,
-    cycles_per_sec: f64,
-    packets_delivered: u64,
-    avg_packet_latency: f64,
-    avg_hops: f64,
-    avg_access_latency: f64,
-    compressions: u64,
-    flits_saved: u64,
-    hidden_coverage: f64,
-}
-
-fn run_topology(choice: TopologyChoice, args: &Args) -> Result<TopologyResult, String> {
+/// Runs one topology's NoC throughput point and full-system DISCO run,
+/// prints a summary line, and returns its JSON record.
+fn run_topology(choice: TopologyChoice, args: &Args) -> Result<Json, String> {
     let topo = choice.build(args.mesh, args.mesh);
-    let (routers, radix) = (topo.routers(), topo.radix());
     let point = run_point(&SweepPoint {
         topology: choice,
         pattern: TrafficPattern::UniformRandom,
@@ -96,94 +72,65 @@ fn run_topology(choice: TopologyChoice, args: &Args) -> Result<TopologyResult, S
         .provenance
         .hidden_coverage();
     let disco = report.disco.as_ref();
-    Ok(TopologyResult {
-        topology: choice,
-        routers,
-        radix,
-        cycles_per_sec: point.cycles_per_sec,
-        packets_delivered: point.stats.packets_delivered,
-        avg_packet_latency: point.stats.avg_packet_latency(),
-        avg_hops: point.stats.avg_hops(),
-        avg_access_latency: report.avg_access_latency(),
-        compressions: disco.map_or(0, |d| d.compressions + d.queue_compressions),
-        flits_saved: disco.map_or(0, |d| d.flits_saved),
-        hidden_coverage,
-    })
+    let compressions = disco.map_or(0, |d| d.compressions + d.queue_compressions);
+    let stats = &point.stats;
+    println!(
+        "topology_bench: {choice}: {:.0} c/s, {} pkts, avg latency {:.2}, \
+         {compressions} compressions, hidden coverage {hidden_coverage:.3}",
+        point.cycles_per_sec,
+        stats.packets_delivered,
+        stats.avg_packet_latency(),
+    );
+    Ok(Json::obj([
+        ("topology", Json::str(choice.to_string())),
+        ("routers", Json::num(topo.routers())),
+        ("radix", Json::num(topo.radix())),
+        ("noc_cycles_per_s", Json::fixed(point.cycles_per_sec, 0)),
+        ("packets_delivered", Json::num(stats.packets_delivered)),
+        (
+            "avg_packet_latency",
+            Json::fixed(stats.avg_packet_latency(), 4),
+        ),
+        ("avg_hops", Json::fixed(stats.avg_hops(), 4)),
+        (
+            "avg_access_latency",
+            Json::fixed(report.avg_access_latency(), 4),
+        ),
+        ("disco_compressions", Json::num(compressions)),
+        (
+            "disco_flits_saved",
+            Json::num(disco.map_or(0, |d| d.flits_saved)),
+        ),
+        ("hidden_coverage", Json::fixed(hidden_coverage, 4)),
+    ]))
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("topology_bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut results = Vec::new();
-    for choice in TopologyChoice::ALL {
-        match run_topology(choice, &args) {
-            Ok(r) => {
-                println!(
-                    "topology_bench: {}: {:.0} c/s, {} pkts, avg latency {:.2}, \
-                     {} compressions, hidden coverage {:.3}",
-                    r.topology,
-                    r.cycles_per_sec,
-                    r.packets_delivered,
-                    r.avg_packet_latency,
-                    r.compressions,
-                    r.hidden_coverage,
-                );
-                results.push(r);
-            }
-            Err(e) => {
-                eprintln!("topology_bench: FAIL {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    cli::exit_status("topology_bench", run())
+}
+
+fn run() -> Result<ExitCode, String> {
+    let args = parse_args()?;
+    let topologies = TopologyChoice::ALL
+        .into_iter()
+        .map(|choice| run_topology(choice, &args).map_err(|e| format!("FAIL {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"topology_bench\",");
-    let _ = writeln!(json, "  \"mesh\": \"{0}x{0}\",", args.mesh);
-    let _ = writeln!(json, "  \"noc_cycles\": {},", args.cycles);
-    let _ = writeln!(json, "  \"noc_rate\": {},", args.rate);
-    let _ = writeln!(json, "  \"system_trace_len\": {},", args.trace_len);
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"topologies\": [");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"topology\": \"{}\", \"routers\": {}, \"radix\": {}, \
-             \"noc_cycles_per_s\": {:.0}, \"packets_delivered\": {}, \
-             \"avg_packet_latency\": {:.4}, \"avg_hops\": {:.4}, \
-             \"avg_access_latency\": {:.4}, \"disco_compressions\": {}, \
-             \"disco_flits_saved\": {}, \"hidden_coverage\": {:.4}}}{}",
-            r.topology,
-            r.routers,
-            r.radix,
-            r.cycles_per_sec,
-            r.packets_delivered,
-            r.avg_packet_latency,
-            r.avg_hops,
-            r.avg_access_latency,
-            r.compressions,
-            r.flits_saved,
-            r.hidden_coverage,
-            sep
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("topology_bench: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
+    let json = Json::obj([
+        ("bench", Json::str("topology_bench")),
+        ("mesh", Json::str(format!("{0}x{0}", args.mesh))),
+        ("noc_cycles", Json::num(args.cycles)),
+        ("noc_rate", Json::num(args.rate)),
+        ("system_trace_len", Json::num(args.trace_len)),
+        ("host_cores", Json::num(host_cores)),
+        ("topologies", Json::Arr(topologies)),
+    ]);
+    std::fs::write(&args.out, format!("{json:#}\n"))
+        .map_err(|e| format!("cannot write {}: {e}", args.out))?;
     println!(
         "topology_bench: {} topologies -> {}",
-        results.len(),
+        TopologyChoice::ALL.len(),
         args.out
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -5,6 +5,7 @@
 //! configurations, prints the same rows/series, and reports the same
 //! summary statistics the paper quotes in §4.
 
+pub mod cli;
 pub mod experiments;
 pub mod serve;
 pub mod sweep;

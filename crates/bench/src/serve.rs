@@ -40,20 +40,17 @@
 //! tmp+rename). Dropping a `<name>.cancel` marker file stops the job at
 //! its next chunk boundary, checkpoint intact.
 
-use crate::sweep;
 use disco_compress::SchemeKind;
 use disco_core::{CompressionPlacement, SimBuilder, SimError, System};
 use disco_noc::{NocConfig, TopologyChoice};
+use disco_pareto::exec::injection_warning;
+use disco_pareto::journal::write_atomic;
+use disco_pareto::json::{self, Json};
 use disco_workloads::Benchmark;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
-
-pub mod json;
-
-use json::Json;
 
 /// One queued simulation job on the [`SimBuilder`] axes.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,17 +134,6 @@ pub struct ServeConfig {
 pub fn injection_sites(tiles: usize) -> u64 {
     5 * tiles as u64
 }
-
-/// Expected fault injections of a run: rate × cycles × sites.
-/// (Shared with the DSE driver; see [`disco_pareto::exec`].)
-pub use disco_pareto::exec::expected_injections;
-
-/// The structured warning for the silent "0 faults injected looks like
-/// 100% recovery" trap: a positive fault rate whose expected injection
-/// count rounds to ~0 over the run needs a long-run/resume simulation,
-/// not a bench-length one. Returns a single JSON line, or `None` when
-/// the configuration is sound. (Shared with the DSE driver.)
-pub use disco_pareto::exec::injection_warning;
 
 /// Largest grid side a queued job may ask for. The biggest network the
 /// repo simulates is `kernel_speed`'s 64×64 mesh.
@@ -270,8 +256,11 @@ fn parse_job(obj: &Json, index: usize) -> Result<JobSpec, String> {
         .unwrap_or(1) as usize;
     let max_cycles = obj.get("max_cycles").and_then(Json::as_u64).unwrap_or(0);
     let fault_rate = obj.get("fault_rate").and_then(Json::as_f64).unwrap_or(0.0);
-    if fault_rate < 0.0 {
-        return Err(format!("{} must be non-negative", ctx("fault_rate")));
+    if fault_rate < 0.0 || !fault_rate.is_finite() {
+        return Err(format!(
+            "{} must be finite and non-negative",
+            ctx("fault_rate")
+        ));
     }
     Ok(JobSpec {
         name,
@@ -381,8 +370,6 @@ pub struct ServeSummary {
     pub failed: usize,
 }
 
-use disco_pareto::journal::write_atomic;
-
 struct JobFiles {
     stats: PathBuf,
     heartbeat: PathBuf,
@@ -402,22 +389,12 @@ impl JobFiles {
     }
 
     fn heartbeat(&self, name: &str, event: &str, sys: Option<&System>) {
-        let mut line = String::new();
-        let _ = write!(
-            line,
-            "{{\"job\":\"{}\",\"event\":\"{event}\"",
-            sweep::json_escape(name)
-        );
+        let mut fields = vec![("job", Json::str(name)), ("event", Json::str(event))];
         if let Some(sys) = sys {
-            let _ = write!(
-                line,
-                ",\"cycle\":{},\"outstanding\":{}",
-                sys.now(),
-                sys.outstanding()
-            );
+            fields.push(("cycle", Json::num(sys.now())));
+            fields.push(("outstanding", Json::num(sys.outstanding())));
         }
-        line.push('}');
-        line.push('\n');
+        let line = format!("{}\n", Json::obj(fields));
         if let Ok(mut f) = fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -610,6 +587,10 @@ mod tests {
         let overflow = r#"{"jobs": [{"name": "x", "mesh": 64, "trace_len": 1e19}]}"#;
         let e = parse_queue(overflow).unwrap_err();
         assert!(e.contains("MAX_TOTAL_ACCESSES"), "{e}");
+        let inf_rate =
+            r#"{"jobs": [{"name": "x", "mesh": 2, "trace_len": 10, "fault_rate": 1e400}]}"#;
+        let e = parse_queue(inf_rate).unwrap_err();
+        assert!(e.contains("fault_rate must be finite"), "{e}");
         let at_limit = r#"{"jobs": [{"name": "x", "mesh": 64, "trace_len": 1024}]}"#;
         assert!(parse_queue(at_limit).is_ok(), "the limits are inclusive");
         assert!(parse_queue("{}").is_err());

@@ -32,8 +32,7 @@ pub struct SweepPoint {
     pub cycles: u64,
     /// Kernel shard request (see `NocConfig::compute_shards`).
     pub compute_shards: usize,
-    /// Trace ring-buffer capacity in records; 0 = tracing off. Used by
-    /// the tracing-overhead bench.
+    /// Trace ring-buffer capacity in records; 0 = tracing off.
     pub trace_capacity: usize,
 }
 
@@ -92,9 +91,6 @@ pub fn run_point(point: &SweepPoint) -> PointResult {
 pub fn run_sweep(points: &[SweepPoint], threads: usize) -> Vec<PointResult> {
     disco_pareto::exec::fan_out(points, threads, run_point)
 }
-
-/// Minimal JSON string escaping, shared with `disco-pareto`'s emitters.
-pub use disco_pareto::json::json_escape;
 
 /// Short label for a pattern, for JSON and filenames.
 pub fn pattern_name(pattern: TrafficPattern) -> &'static str {
@@ -168,8 +164,32 @@ mod tests {
         assert!(results[2].stats.link_flits > results[0].stats.link_flits);
     }
 
+    /// Tracing only observes: an 8x8 mesh gives the same counters with
+    /// the tracer off, at a ring small enough to drop events, and at the
+    /// default capacity.
     #[test]
-    fn escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn tracing_never_changes_noc_stats() {
+        for rate in [0.05, 0.2] {
+            let run = |trace_capacity| {
+                run_point(&SweepPoint {
+                    topology: TopologyChoice::Mesh,
+                    pattern: TrafficPattern::UniformRandom,
+                    injection_rate: rate,
+                    seed: 2016,
+                    cols: 8,
+                    rows: 8,
+                    cycles: 2_000,
+                    compute_shards: 1,
+                    trace_capacity,
+                })
+            };
+            let untraced = run(0);
+            let small = run(1 << 12);
+            let default = run(disco_trace::DEFAULT_CAPACITY);
+            assert_eq!(untraced.stats, small.stats, "rate {rate}: 2^12 ring");
+            assert_eq!(untraced.stats, default.stats, "rate {rate}: default ring");
+            assert!(small.trace_dropped > 0, "rate {rate}: 2^12 ring must drop");
+            assert!(default.trace_emitted > 0, "rate {rate}: tracer must emit");
+        }
     }
 }

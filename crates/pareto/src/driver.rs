@@ -147,9 +147,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
 fn run_point(space: &DesignSpace, point: &DesignPoint, shards: usize) -> JournalEntry {
     let run = |compute_shards: usize| {
         let noc = NocConfig {
-            vcs: point
-                .vcs
-                .max(point.topology.build(space.cols, space.rows).min_vcs()),
+            vcs: point.vcs,
             buffer_depth: point.buffer_depth,
             compute_shards,
             ..NocConfig::default()

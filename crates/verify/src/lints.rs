@@ -1,14 +1,15 @@
-//! Source-convention lints: a lightweight file-walk scanner with no
+//! Source-convention lints: a file walk over the repository, with the
+//! code rules checked on parsed token trees ([`crate::ast`]). No
 //! dependencies beyond `std`.
 //!
-//! Five rules:
+//! Six rules:
 //!
 //! 1. **Panic-free hot paths** — the files executed every simulated cycle
 //!    must not call `.unwrap()` or `.expect(...)`. Recoverable conditions
 //!    must use `Option`/`Result` flow; genuine simulator invariants must
 //!    use `assert!`/`panic!` with a message naming the violated
-//!    invariant. Comment lines are skipped and scanning stops at the
-//!    first `#[cfg(test)]` module, where panicking is idiomatic.
+//!    invariant. Comments and `#[cfg(test)]` items, where panicking is
+//!    idiomatic, are skipped.
 //! 2. **Stats surfacing** — every public counter field of
 //!    `NetworkStats`, `DiscoStats`, and `ProvenanceTotals` must appear in
 //!    `report.rs`, so no measurement silently drops out of the stats file
@@ -74,22 +75,6 @@ pub const HOT_PATHS: &[&str] = &[
 /// methods.
 const ROUTER_FIELDS: &[&str] = &["inputs", "out_alloc", "credits", "rr_sa", "sa_losers"];
 
-/// Method calls that mutate a field's container in place.
-const MUTATING_CALLS: &[&str] = &[
-    ".push(",
-    ".pop_front(",
-    ".pop_back(",
-    ".clear(",
-    ".extend(",
-    ".extend_from_slice(",
-    ".insert(",
-    ".remove(",
-    ".drain(",
-    ".truncate(",
-    ".swap(",
-    ".fill(",
-];
-
 /// The counter structs whose fields must be surfaced, and where they live.
 const STATS_SOURCES: &[(&str, &str)] = &[
     ("crates/noc/src/stats.rs", "NetworkStats"),
@@ -120,185 +105,6 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Scans every hot-path file for panicking-API calls.
-///
-/// # Errors
-///
-/// Propagates I/O errors reading the sources under `root`.
-pub fn scan_hot_paths(root: &Path) -> io::Result<Vec<Violation>> {
-    let mut violations = Vec::new();
-    for rel in HOT_PATHS {
-        let text = fs::read_to_string(root.join(rel))?;
-        for (line, message) in scan_source(&text) {
-            violations.push(Violation {
-                file: PathBuf::from(rel),
-                line,
-                message,
-            });
-        }
-    }
-    Ok(violations)
-}
-
-/// Scans one source text; returns (1-based line, message) findings.
-/// Stops at the first `#[cfg(test)]` and skips comment lines and
-/// trailing line comments (string literals containing `//` are rare
-/// enough in this codebase that the naive split is acceptable).
-pub fn scan_source(text: &str) -> Vec<(usize, String)> {
-    let mut findings = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let trimmed = raw.trim_start();
-        if trimmed.starts_with("#[cfg(test)]") {
-            break;
-        }
-        if trimmed.starts_with("//") {
-            continue;
-        }
-        let code = raw.split("//").next().unwrap_or(raw);
-        for pattern in [".unwrap()", ".expect("] {
-            if code.contains(pattern) {
-                findings.push((
-                    idx + 1,
-                    format!("`{pattern}` in a per-cycle hot path; use Option/Result flow or an assert naming the invariant"),
-                ));
-            }
-        }
-    }
-    findings
-}
-
-/// Scans `crates/noc/src` for `Router` field mutations outside the
-/// commit module (rule 3).
-///
-/// # Errors
-///
-/// Propagates I/O errors reading the sources under `root`.
-pub fn check_commit_confinement(root: &Path) -> io::Result<Vec<Violation>> {
-    let dir = Path::new("crates/noc/src");
-    let mut names: Vec<String> = fs::read_dir(root.join(dir))?
-        .filter_map(Result::ok)
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.ends_with(".rs") && n != "router.rs" && n != "commit.rs")
-        .collect();
-    names.sort();
-    let mut violations = Vec::new();
-    for name in names {
-        let rel = dir.join(&name);
-        let text = fs::read_to_string(root.join(&rel))?;
-        for (line, message) in scan_confinement(&text) {
-            violations.push(Violation {
-                file: rel.clone(),
-                line,
-                message,
-            });
-        }
-    }
-    Ok(violations)
-}
-
-/// Scans one source text for `Router` field writes; returns (1-based
-/// line, message) findings. A write is a field access whose receiver is
-/// a `router`/`routers[...]` binding followed by an assignment operator
-/// or an in-place mutating call. Comment handling and the `#[cfg(test)]`
-/// cutoff match [`scan_source`].
-pub fn scan_confinement(text: &str) -> Vec<(usize, String)> {
-    let mut findings = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let trimmed = raw.trim_start();
-        if trimmed.starts_with("#[cfg(test)]") {
-            break;
-        }
-        if trimmed.starts_with("//") {
-            continue;
-        }
-        let code = raw.split("//").next().unwrap_or(raw);
-        for field in ROUTER_FIELDS {
-            let needle = format!(".{field}");
-            let mut search = 0;
-            while let Some(pos) = code[search..].find(&needle) {
-                let start = search + pos;
-                let end = start + needle.len();
-                search = end;
-                // Token boundary: `.rr_sa` must not match `.rr_sample`.
-                if code[end..]
-                    .chars()
-                    .next()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_')
-                {
-                    continue;
-                }
-                if !receiver_is_router(&code[..start]) {
-                    continue;
-                }
-                if is_mutated(&code[end..]) {
-                    findings.push((
-                        idx + 1,
-                        format!(
-                            "Router field `{field}` mutated outside the commit pass; \
-                             route the write through crates/noc/src/commit.rs"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    findings
-}
-
-/// Whether the expression ending just before a field access is a
-/// `router` binding or an element of a `routers` collection (skipping
-/// back over balanced index brackets, e.g. `self.routers[i]`).
-fn receiver_is_router(before: &str) -> bool {
-    let bytes = before.as_bytes();
-    let mut i = before.len();
-    while i > 0 && bytes[i - 1] == b']' {
-        let mut depth = 0usize;
-        while i > 0 {
-            i -= 1;
-            match bytes[i] {
-                b']' => depth += 1,
-                b'[' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    let end = i;
-    while i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_') {
-        i -= 1;
-    }
-    matches!(&before[i..end], "router" | "routers")
-}
-
-/// Whether the rest of a line after a field access writes to it: an
-/// in-place mutating call anywhere downstream, or an assignment operator
-/// (`=`, `+=`, …) that is not part of a comparison, `=>`, or `..=`.
-fn is_mutated(rest: &str) -> bool {
-    if MUTATING_CALLS.iter().any(|p| rest.contains(p)) {
-        return true;
-    }
-    let bytes = rest.as_bytes();
-    for (j, &b) in bytes.iter().enumerate() {
-        if b != b'=' {
-            continue;
-        }
-        let prev = j.checked_sub(1).map(|k| bytes[k]);
-        let next = bytes.get(j + 1);
-        if matches!(prev, Some(b'=' | b'!' | b'<' | b'>' | b'.')) {
-            continue; // ==, !=, <=, >=, ..=  (or second char of ==)
-        }
-        if next == Some(&b'=') || next == Some(&b'>') {
-            continue; // first char of ==, or =>
-        }
-        return true; // plain or compound assignment
-    }
-    false
-}
-
 /// Emission-site files that must never read wall-clock time (rule 4).
 /// Every `.rs` file under `crates/trace/src` is additionally walked.
 /// (`crates/bench`'s harnesses legitimately use `Instant` for wall-clock
@@ -313,68 +119,6 @@ pub const WALLCLOCK_FREE: &[&str] = &[
     "crates/cache/src/nuca.rs",
     "crates/cache/src/dram.rs",
 ];
-
-/// Host-time sources forbidden in deterministic tracing code.
-const WALLCLOCK_PATTERNS: &[&str] = &["std::time", "Instant", "SystemTime"];
-
-/// Scans the trace crate and every emission site for wall-clock time
-/// sources (rule 4).
-///
-/// # Errors
-///
-/// Propagates I/O errors reading the sources under `root`.
-pub fn check_no_wallclock(root: &Path) -> io::Result<Vec<Violation>> {
-    let mut rels: Vec<PathBuf> = WALLCLOCK_FREE.iter().map(PathBuf::from).collect();
-    let trace_dir = Path::new("crates/trace/src");
-    let mut names: Vec<String> = fs::read_dir(root.join(trace_dir))?
-        .filter_map(Result::ok)
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.ends_with(".rs"))
-        .collect();
-    names.sort();
-    rels.extend(names.into_iter().map(|n| trace_dir.join(n)));
-    let mut violations = Vec::new();
-    for rel in rels {
-        let text = fs::read_to_string(root.join(&rel))?;
-        for (line, message) in scan_wallclock(&text) {
-            violations.push(Violation {
-                file: rel.clone(),
-                line,
-                message,
-            });
-        }
-    }
-    Ok(violations)
-}
-
-/// Scans one source text for wall-clock time sources; returns (1-based
-/// line, message) findings. Comment handling and the `#[cfg(test)]`
-/// cutoff match [`scan_source`].
-pub fn scan_wallclock(text: &str) -> Vec<(usize, String)> {
-    let mut findings = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let trimmed = raw.trim_start();
-        if trimmed.starts_with("#[cfg(test)]") {
-            break;
-        }
-        if trimmed.starts_with("//") {
-            continue;
-        }
-        let code = raw.split("//").next().unwrap_or(raw);
-        for pattern in WALLCLOCK_PATTERNS {
-            if code.contains(pattern) {
-                findings.push((
-                    idx + 1,
-                    format!(
-                        "wall-clock source `{pattern}` in deterministic tracing code; \
-                         stamp with the simulated cycle instead"
-                    ),
-                ));
-            }
-        }
-    }
-    findings
-}
 
 /// Checks that every public counter field of the stats structs appears in
 /// `report.rs`.
@@ -642,12 +386,9 @@ pub fn repo_root() -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// AST-grade variants. The string scanners above are kept as regression
-// baselines (tests/verify_mutations.rs demonstrates the defects they
-// miss); `cargo xtask verify` runs the versions below, which operate on
-// parsed token trees (crate::ast) and therefore see through helper
-// methods, `#[cfg]`-hidden branches, and code placed after a
-// `#[cfg(test)]` module.
+// AST-grade rules. These operate on parsed token trees (crate::ast) and
+// therefore see through helper methods, `#[cfg]`-hidden branches, and
+// code placed after a `#[cfg(test)]` module.
 // ---------------------------------------------------------------------------
 
 /// Files whose code runs in the serial (single-threaded) part of the
@@ -679,11 +420,11 @@ fn parse_failure(rel: &Path, err: String) -> Violation {
     }
 }
 
-/// AST-grade panic-free hot-path scan: [`scan_hot_paths`] on parsed
-/// token trees. Unlike the string scan it keeps going after a
-/// `#[cfg(test)]` module (skipping only the test items themselves), so
-/// per-cycle code hidden behind `#[cfg(feature = …)]` or placed below a
-/// test module is still checked.
+/// Panic-free hot-path scan (rule 1) over every [`HOT_PATHS`] file, on
+/// parsed token trees. It keeps going after a `#[cfg(test)]` module
+/// (skipping only the test items themselves), so per-cycle code hidden
+/// behind `#[cfg(feature = …)]` or placed below a test module is still
+/// checked.
 ///
 /// # Errors
 ///
@@ -711,13 +452,12 @@ pub fn scan_hot_paths_ast(root: &Path) -> io::Result<Vec<Violation>> {
 /// set from the live `Router` impl, then scans every file in
 /// `crates/noc/src` except `router.rs`/`commit.rs`:
 ///
-/// - direct `Router` field writes are flagged everywhere (as before,
-///   but now including `#[cfg]`-hidden branches and code after test
-///   modules);
+/// - direct `Router` field writes are flagged everywhere, including
+///   `#[cfg]`-hidden branches and code after test modules;
 /// - calls to `&mut self` `Router` methods and `&mut` borrows of router
-///   bindings are additionally flagged outside [`SERIAL_CONTEXT`] —
-///   this closes the helper-method blind spot of [`scan_confinement`],
-///   which only sees spelled-out field assignments.
+///   bindings are additionally flagged outside [`SERIAL_CONTEXT`], so a
+///   helper method cannot mutate a router without spelling out a field
+///   assignment.
 ///
 /// # Errors
 ///
@@ -758,10 +498,11 @@ pub fn check_commit_confinement_ast(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(violations)
 }
 
-/// AST-grade wall-clock check over the same file set as
-/// [`check_no_wallclock`], using identifier tokens instead of substring
-/// matches (so a struct field named `instant_rate` no longer trips it,
-/// while `std::time::Instant` behind `#[cfg(feature = …)]` does).
+/// Wall-clock check (rule 4) over [`WALLCLOCK_FREE`] and every file
+/// under `crates/trace/src`, using identifier tokens instead of
+/// substring matches (so a struct field named `instant_rate` does not
+/// trip it, while `std::time::Instant` behind `#[cfg(feature = …)]`
+/// does).
 ///
 /// # Errors
 ///
@@ -1025,25 +766,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hot_paths_are_clean() {
-        let violations = scan_hot_paths(&repo_root()).expect("sources readable");
-        assert_eq!(violations, Vec::new(), "hot paths must stay panic-API free");
-    }
-
-    #[test]
     fn stats_are_surfaced() {
         let violations = check_stats_surfaced(&repo_root()).expect("sources readable");
         assert_eq!(violations, Vec::new(), "every counter must reach report.rs");
-    }
-
-    #[test]
-    fn trace_path_is_wallclock_free() {
-        let violations = check_no_wallclock(&repo_root()).expect("sources readable");
-        assert_eq!(
-            violations,
-            Vec::new(),
-            "trace records must be cycle-stamped, never wall-clock-stamped"
-        );
     }
 
     #[test]
@@ -1056,20 +781,18 @@ fn ok() { let c = self.cycle; } // trailing SystemTime mention is fine\n\
 mod tests {\n\
     fn t() { let _ = std::time::SystemTime::now(); }\n\
 }\n";
-        let findings = scan_wallclock(text);
+        let findings = ast::scan_wallclock(text).expect("parses");
         // Line 1 matches both `std::time` and `Instant`.
-        assert_eq!(findings.len(), 2);
-        assert!(findings.iter().all(|f| f.0 == 1));
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.0 == 1), "{findings:?}");
     }
 
-    #[test]
-    fn noc_commit_confinement_holds() {
-        let violations = check_commit_confinement(&repo_root()).expect("sources readable");
-        assert_eq!(
-            violations,
-            Vec::new(),
-            "Router fields may only be written by the commit pass"
-        );
+    fn confinement(text: &str) -> Vec<(usize, String)> {
+        let rules = ast::ConfinementRules {
+            direct_writes: true,
+            method_calls: false,
+        };
+        ast::scan_confinement(text, ROUTER_FIELDS, &BTreeSet::new(), rules).expect("parses")
     }
 
     #[test]
@@ -1086,19 +809,19 @@ fn compute(router: &Router, routers: &mut [Router]) {\n\
     router.sa_losers.clear();\n\
     // router.rr_sa = [0; 5] in a comment is fine\n\
 }\n";
-        let lines: Vec<usize> = scan_confinement(text).into_iter().map(|f| f.0).collect();
+        let lines: Vec<usize> = confinement(text).into_iter().map(|f| f.0).collect();
         assert_eq!(lines, vec![7, 8, 9], "exactly the three writes");
     }
 
     #[test]
-    fn confinement_stops_at_tests_and_respects_boundaries() {
+    fn confinement_skips_tests_and_respects_boundaries() {
         let text = "\
 fn f(router: &Router) { let x = router.rr_sample; }\n\
 #[cfg(test)]\n\
 mod tests {\n\
     fn t(router: &mut Router) { router.credits[0][0] += 1; }\n\
 }\n";
-        assert_eq!(scan_confinement(text), Vec::new());
+        assert_eq!(confinement(text), Vec::new());
     }
 
     #[test]
@@ -1113,14 +836,14 @@ fn hot() {\n\
 mod tests {\n\
     fn t() { let z = maybe().expect(\"fine in tests\"); }\n\
 }\n";
-        let findings = scan_source(text);
+        let findings = ast::scan_panics(text).expect("parses");
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].0, 2);
     }
 
     #[test]
     fn scanner_catches_expect() {
-        let findings = scan_source("fn f() { g().expect(\"boom\"); }\n");
+        let findings = ast::scan_panics("fn f() { g().expect(\"boom\"); }\n").expect("parses");
         assert_eq!(findings.len(), 1);
     }
 

@@ -38,10 +38,6 @@ test:
 provenance:
     cargo run --release -p disco-bench --bin provenance
 
-# Measure tracing overhead and check traced/untraced stats identity.
-trace-overhead:
-    cargo run --release -p disco-bench --bin trace_overhead -- --out BENCH_pr4.json
-
 # Regenerate tests/golden_stats.txt after report.rs changes.
 update-golden:
     UPDATE_GOLDEN=1 cargo test -q --test golden

@@ -150,10 +150,9 @@ fn fixture_mut_methods() -> BTreeSet<String> {
 const ROUTER_FIELDS: &[&str] = &["inputs", "out_alloc", "credits", "rr_sa", "sa_losers"];
 
 /// A compute-phase helper that smuggles a router mutation through a
-/// method call instead of a spelled-out field assignment. The old
-/// string scanner only matches `.field = ...` patterns, so this defect
-/// sailed through it; the AST lint resolves the callee against the
-/// extracted `&mut self` method set and flags it.
+/// method call instead of a spelled-out field assignment. The AST lint
+/// resolves the callee against the extracted `&mut self` method set and
+/// flags it.
 #[test]
 fn helper_method_mutation_caught_by_ast_missed_by_string_scan() {
     let defect = "
@@ -161,14 +160,6 @@ fn helper_method_mutation_caught_by_ast_missed_by_string_scan() {
             routers[d.next].accept(port, vc, flit);
         }
     ";
-    // Regression baseline: the string scanner misses it (this documented
-    // the blind spot before the AST port; keep proving it).
-    assert_eq!(
-        lints::scan_confinement(defect),
-        Vec::new(),
-        "the string scanner cannot see helper-method mutations"
-    );
-    // The AST lint catches it.
     let findings = ast::scan_confinement(
         defect,
         ROUTER_FIELDS,
@@ -187,9 +178,9 @@ fn helper_method_mutation_caught_by_ast_missed_by_string_scan() {
     );
 }
 
-/// A router-field write placed *after* a `#[cfg(test)]` module. The old
-/// scanner stops at the first `#[cfg(test)]` line and never reads the
-/// rest of the file; the AST walker skips only the test item itself.
+/// A router-field write placed *after* a `#[cfg(test)]` module. The AST
+/// walker skips only the test item itself and still reads the rest of the
+/// file.
 #[test]
 fn mutation_after_test_module_caught_by_ast_missed_by_string_scan() {
     let defect = "
@@ -204,11 +195,6 @@ fn mutation_after_test_module_caught_by_ast_missed_by_string_scan() {
             router.credits[0][1] += 1;
         }
     ";
-    assert_eq!(
-        lints::scan_confinement(defect),
-        Vec::new(),
-        "the string scanner goes blind at the first #[cfg(test)]"
-    );
     let findings = ast::scan_confinement(
         defect,
         ROUTER_FIELDS,
@@ -227,7 +213,7 @@ fn mutation_after_test_module_caught_by_ast_missed_by_string_scan() {
 }
 
 /// A wall-clock read hidden behind `#[cfg(feature = ...)]` after a test
-/// module: invisible to the line scanner, visible to the AST walk.
+/// module: the AST walk sees through the cfg-gated item.
 #[test]
 fn cfg_hidden_wallclock_caught_by_ast_missed_by_string_scan() {
     let defect = "
@@ -241,11 +227,6 @@ fn cfg_hidden_wallclock_caught_by_ast_missed_by_string_scan() {
             std::time::Instant::now()
         }
     ";
-    assert_eq!(
-        lints::scan_wallclock(defect),
-        Vec::new(),
-        "the string scanner goes blind at the first #[cfg(test)]"
-    );
     let findings = ast::scan_wallclock(defect).expect("fixture parses");
     assert!(
         !findings.is_empty(),

@@ -13,9 +13,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use disco_bench::cli::Flags;
 use disco_noc::routing::RoutingAlgorithm;
 use disco_noc::topology::{Mesh, TopologyChoice, TopologySpec};
 use disco_noc::NocConfig;
+use disco_pareto::json::Json;
 use disco_verify::explorer::{explore, ExploreOptions};
 use disco_verify::model::{LiveDir, ProtocolModel};
 use disco_verify::{cdg, credits, lints, protocol};
@@ -76,38 +78,17 @@ struct VerifyOpts {
 
 impl VerifyOpts {
     fn parse(args: &[String]) -> Result<Self, String> {
-        let mut opts = VerifyOpts {
-            json: None,
-            workers: 4,
-            depth: 64,
-        };
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--json" => {
-                    let path = it.next().ok_or("--json needs a path argument")?;
-                    opts.json = Some(PathBuf::from(path));
-                }
-                "--workers" => {
-                    let n = it.next().ok_or("--workers needs a count argument")?;
-                    opts.workers = n
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--workers: invalid count `{n}`"))?;
-                }
-                "--depth" => {
-                    let n = it.next().ok_or("--depth needs a bound argument")?;
-                    opts.depth = n
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--depth: invalid bound `{n}`"))?;
-                }
-                other => return Err(format!("unknown verify option `{other}`")),
-            }
-        }
-        Ok(opts)
+        let flags = Flags::parse(
+            args.iter().cloned(),
+            &["--json", "--workers", "--depth"],
+            &[],
+        )?;
+        let positive = |v: &str| v.parse().ok().filter(|&n: &usize| n >= 1);
+        Ok(VerifyOpts {
+            json: flags.opt("--json")?,
+            workers: flags.opt_with("--workers", positive)?.unwrap_or(4),
+            depth: flags.opt_with("--depth", positive)?.unwrap_or(64),
+        })
     }
 }
 
@@ -547,51 +528,25 @@ fn run_lints() -> (bool, String) {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the machine-readable report. Schema `disco-verify/1`:
 /// top-level pass/total_ms plus one record per analysis.
 fn render_json(results: &[AnalysisResult], pass: bool, total_ms: u128) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"disco-verify/1\",\"pass\":{pass},\"total_ms\":{total_ms},\"analyses\":["
-    );
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"pass\":{},\"detail\":\"{}\"",
-            json_escape(r.name),
-            r.pass,
-            json_escape(&r.detail)
-        );
-        if let Some(states) = r.states {
-            let _ = write!(out, ",\"states\":{states}");
-        }
-        if let Some(transitions) = r.transitions {
-            let _ = write!(out, ",\"transitions\":{transitions}");
-        }
-        let _ = write!(out, ",\"ms\":{}}}", r.ms);
-    }
-    out.push_str("]}\n");
-    out
+    let analyses = results.iter().map(|r| {
+        let mut fields = vec![
+            ("name", Json::str(r.name)),
+            ("pass", Json::Bool(r.pass)),
+            ("detail", Json::str(&r.detail)),
+        ];
+        fields.extend(r.states.map(|n| ("states", Json::num(n))));
+        fields.extend(r.transitions.map(|n| ("transitions", Json::num(n))));
+        fields.push(("ms", Json::num(r.ms)));
+        Json::obj(fields)
+    });
+    let report = Json::obj([
+        ("schema", Json::str("disco-verify/1")),
+        ("pass", Json::Bool(pass)),
+        ("total_ms", Json::num(total_ms)),
+        ("analyses", Json::Arr(analyses.collect())),
+    ]);
+    format!("{report}\n")
 }
