@@ -2311,16 +2311,23 @@ mod tests {
             .benchmark(Benchmark::Swaptions)
             .trace_len(200)
             .seed(5);
-        let unbroken = builder.clone().run().expect("drains");
-        let mut sys = builder.build();
-        assert!(!sys.step_until(500).expect("within budget"), "still busy");
-        assert_eq!(sys.now(), 500);
-        let bytes = sys.snapshot();
-        let resumed = System::restore(&bytes)
-            .expect("restores")
-            .run_to_completion()
-            .expect("drains");
-        assert_eq!(stats_text(&unbroken), stats_text(&resumed));
+        // Blocking decompression holds a VC lock across the cut.
+        let blocking = builder.clone().disco_params(DiscoParams {
+            non_blocking: false,
+            ..DiscoParams::default()
+        });
+        for builder in [builder, blocking] {
+            let unbroken = builder.clone().run().expect("drains");
+            let mut sys = builder.build();
+            assert!(!sys.step_until(500).expect("within budget"), "still busy");
+            assert_eq!(sys.now(), 500);
+            let bytes = sys.snapshot();
+            let resumed = System::restore(&bytes)
+                .expect("restores")
+                .run_to_completion()
+                .expect("drains");
+            assert_eq!(stats_text(&unbroken), stats_text(&resumed));
+        }
     }
 
     #[test]

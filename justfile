@@ -38,6 +38,7 @@ test:
 provenance:
     cargo run --release -p disco-bench --bin provenance
 
-# Regenerate tests/golden_stats.txt after report.rs changes.
+# Regenerate both golden files (tests/golden_stats.txt and
+# tests/golden_disco_variants.txt) from one run.
 update-golden:
     UPDATE_GOLDEN=1 cargo test -q --test golden
