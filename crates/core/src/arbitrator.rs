@@ -25,9 +25,6 @@ pub struct DiscoParams {
     /// Distance coefficient β for decompression (Eq. 2): penalizes early
     /// decompression far from the destination.
     pub beta: f64,
-    /// Flits the compressor datapath consumes per cycle once committed
-    /// (separate-flit compression rate, §3.3-A).
-    pub fragment_rate: usize,
     /// Non-blocking de/compression (§3.2 step 3): during the initial
     /// latency window the shadow packet stays schedulable and a grant
     /// aborts the operation. When `false`, the VC is locked for the whole
@@ -55,7 +52,6 @@ impl Default for DiscoParams {
             gamma: 0.5,
             alpha: 0.5,
             beta: 1.5,
-            fragment_rate: 2,
             non_blocking: true,
             adaptive: false,
             epoch_cycles: 1_024,
@@ -171,7 +167,6 @@ disco_snapshot::snap_fields!(DiscoParams {
     gamma,
     alpha,
     beta,
-    fragment_rate,
     non_blocking,
     adaptive,
     epoch_cycles,

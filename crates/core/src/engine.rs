@@ -18,13 +18,27 @@
 //! Decompression targets packets whose payload must be raw at the
 //! destination (core fills, DRAM writebacks) and is vetoed far from the
 //! destination by the `β·RC_Hop` term.
+//!
+//! Every engine runs the same lifecycle whatever its [`Mode`]: one start
+//! path ([`DiscoLayer::commit_start`]), one step that aborts when the
+//! packet left ([`Operation::in_place`]), waits out the latency window
+//! and applies the result ([`DiscoLayer::advance`]), and one finish path
+//! ([`DiscoLayer::finish`]).
 
 use crate::arbitrator::{DiscoParams, Pressure};
 use crate::protocol::Msg;
 use disco_compress::scheme::Compressor;
-use disco_compress::{CacheLine, Codec, CompressedLine};
+use disco_compress::Codec;
 use disco_noc::routing::remaining_hops;
 use disco_noc::{Network, NodeId, PacketId, Payload, FLIT_BYTES};
+use disco_trace::codec::{ABORTED, DONE, GROWTH_STALL, INCOMPRESSIBLE};
+
+/// Flits the compressor datapath consumes per cycle once committed
+/// (separate-flit compression rate, §3.3-A).
+const FRAGMENT_RATE: usize = 2;
+
+/// Flits of a raw (uncompressed) cache line.
+const RAW_FLITS: usize = disco_compress::LINE_BYTES / FLIT_BYTES;
 
 /// Counters for the DISCO layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,86 +68,92 @@ pub struct DiscoStats {
     pub queue_compressions: u64,
 }
 
-/// One router's engine.
-#[derive(Debug, Clone)]
-enum Engine {
-    Idle,
+/// How a started engine operates on its packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
     /// One-shot compression of a packet that is entirely resident (the
     /// common case; also covers packets queued *behind* the VC's front
     /// packet, which cannot be scheduled and thus compress risk-free).
-    CompressingWhole {
-        port: usize,
-        vc: usize,
-        packet: PacketId,
-        cycles_left: u64,
-        result: CompressedLine,
-    },
+    Whole,
     /// Separate-flit (streaming) compression of the front packet while
     /// its trailing flits are still arriving (§3.3-A). The shadow flits
     /// stay schedulable the whole time (locking a VC that waits for
     /// upstream flits could deadlock against another locked VC); a switch
     /// grant aborts the operation and the packet continues uncompressed.
-    Compressing {
-        port: usize,
-        vc: usize,
-        packet: PacketId,
-        latency_left: u64,
-        committed: bool,
-        consumed: usize,
-        prefix_flits: usize,
-        /// Cycles since the last fragment was consumed (progress guard).
-        idle_cycles: u64,
-        result: CompressedLine,
-    },
+    Stream,
+    /// Whole-packet decompression near the destination.
+    Decomp,
     /// Compression of a whole packet still waiting in the NI injection
     /// queue: no flits exist yet, so completion is a pure payload swap.
-    CompressingQueued {
-        /// The tile whose NI queue holds the packet (distinct from the
-        /// engine's router only on the concentrated mesh).
-        tile: usize,
-        vc: usize,
-        packet: PacketId,
-        cycles_left: u64,
-        result: CompressedLine,
-    },
-    Decompressing {
-        port: usize,
-        vc: usize,
-        packet: PacketId,
-        latency_left: u64,
-        line: CacheLine,
-    },
+    Queued,
 }
 
-impl Engine {
-    /// The packet an active engine is working on.
-    fn target(&self) -> Option<PacketId> {
+impl Mode {
+    /// The trace operation code.
+    fn trace_op(self) -> u8 {
         match self {
-            Engine::Idle => None,
-            Engine::CompressingWhole { packet, .. }
-            | Engine::Compressing { packet, .. }
-            | Engine::CompressingQueued { packet, .. }
-            | Engine::Decompressing { packet, .. } => Some(*packet),
+            Mode::Decomp => disco_trace::codec::DECOMPRESS,
+            Mode::Whole | Mode::Stream | Mode::Queued => disco_trace::codec::COMPRESS,
         }
     }
 }
 
-/// How a started engine will operate on its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// One-shot compression of a fully resident packet.
-    Whole,
-    /// Separate-flit streaming compression of the front packet.
-    Stream,
-    /// Whole-packet decompression near the destination.
-    Decomp,
-    /// Compression of a packet still in the NI injection queue.
-    Queued,
+/// One engine's operation in progress; an idle engine holds `None`.
+#[derive(Debug, Clone)]
+struct Operation {
+    mode: Mode,
+    packet: PacketId,
+    /// The input port of the packet's VC; for [`Mode::Queued`], the tile
+    /// whose NI queue holds the packet (distinct from the engine's
+    /// router only on the concentrated mesh).
+    port: usize,
+    vc: usize,
+    /// Cycles left in the latency window: the codec pipeline, plus the
+    /// fragment transfer for the whole-packet compressions.
+    cycles_left: u64,
+    /// The payload the operation swaps in: the encoding of a
+    /// compression, or the raw line of a decompression.
+    result: Payload,
+    /// The latency window is over and the result is being applied.
+    committed: bool,
+    /// Streaming only: raw flits consumed so far.
+    consumed: usize,
+    /// Streaming only: compressed flits rebuilt ahead of the raw ones.
+    prefix_flits: usize,
+    /// Streaming only: cycles since the last fragment was consumed
+    /// (progress guard).
+    idle_cycles: u64,
+}
+
+impl Operation {
+    /// Whether the packet is still where the operation needs it: still
+    /// in the NI backlog, still the front head flit of its VC
+    /// (streaming), or still whole and resident in its VC.
+    fn in_place(&self, net: &Network, node: NodeId) -> bool {
+        match self.mode {
+            Mode::Queued => net
+                .inject_backlog(NodeId(self.port), self.vc)
+                .contains(&self.packet),
+            Mode::Stream => {
+                let vc = net.router(node).vc(self.port, self.vc);
+                vc.front_packet() == Some(self.packet) && vc.front_is_head()
+            }
+            Mode::Whole | Mode::Decomp => {
+                let vc = net.router(node).vc(self.port, self.vc);
+                // `try_get`: the fault layer may have retired the packet
+                // outright (dropped or eaten at ejection), which also
+                // reads as "no longer whole here".
+                net.store().try_get(self.packet).is_some_and(|pkt| {
+                    vc.resident_of(self.packet) == pkt.size_flits() && vc.has_tail_of(self.packet)
+                })
+            }
+        }
+    }
 }
 
 /// A de/compression start decided by the pure scan phase and applied by
-/// [`DiscoLayer::commit_start`]. `port` is `usize::MAX` for
-/// [`Mode::Queued`] (the packet has no input port yet).
+/// [`DiscoLayer::commit_start`]. For [`Mode::Queued`], `port` carries
+/// the tile index (the packet has no input port yet).
 #[derive(Debug, Clone, Copy)]
 struct StartAction {
     slot: usize,
@@ -172,7 +192,7 @@ struct ScanSlot {
 pub struct DiscoLayer {
     params: DiscoParams,
     codec: Codec,
-    engines: Vec<Vec<Engine>>,
+    engines: Vec<Vec<Option<Operation>>>,
     stats: DiscoStats,
     /// Completed de/compressions per router, for locating where in the
     /// mesh the mechanism works (hotspot heatmaps).
@@ -195,7 +215,7 @@ impl DiscoLayer {
         DiscoLayer {
             params,
             codec,
-            engines: vec![vec![Engine::Idle; params.engines_per_router.max(1)]; nodes],
+            engines: vec![vec![None; params.engines_per_router.max(1)]; nodes],
             per_node_ops: vec![0; nodes],
             stats: DiscoStats::default(),
             cc_eff: params.cc_threshold,
@@ -216,29 +236,18 @@ impl DiscoLayer {
     /// thresholds; an idle engine raises nothing and congestion pressure
     /// lowers them back toward the configured base.
     fn adapt(&mut self) {
-        let e = {
-            let cur = self.stats;
-            let prev = self.epoch_stats;
-            DiscoStats {
-                started: cur.started - prev.started,
-                compressions: cur.compressions - prev.compressions,
-                decompressions: cur.decompressions - prev.decompressions,
-                aborts: cur.aborts - prev.aborts,
-                incompressible: cur.incompressible - prev.incompressible,
-                growth_stalls: cur.growth_stalls - prev.growth_stalls,
-                low_confidence: cur.low_confidence - prev.low_confidence,
-                flits_saved: cur.flits_saved - prev.flits_saved,
-                queue_compressions: cur.queue_compressions - prev.queue_compressions,
-            }
-        };
+        let (cur, prev) = (self.stats, self.epoch_stats);
+        let started = cur.started - prev.started;
+        let aborts = cur.aborts - prev.aborts;
+        let low_confidence = cur.low_confidence - prev.low_confidence;
         self.epoch_stats = self.stats;
         let base_cc = self.params.cc_threshold;
         let base_cd = self.params.cd_threshold;
-        if e.started >= 8 && e.aborts * 2 > e.started {
+        if started >= 8 && aborts * 2 > started {
             // Hasty: more than half the starts were scheduled away.
             self.cc_eff = (self.cc_eff + 0.5).min(base_cc + 4.0);
             self.cd_eff = (self.cd_eff + 0.5).min(base_cd + 4.0);
-        } else if e.low_confidence > e.started * 4 {
+        } else if low_confidence > started * 4 {
             // Plenty of rejected candidates and few mistakes: loosen.
             self.cc_eff = (self.cc_eff - 0.25).max(base_cc - 1.0);
             self.cd_eff = (self.cd_eff - 0.25).max(base_cd - 1.0);
@@ -350,9 +359,9 @@ impl DiscoLayer {
         scan.starts.clear();
         scan.low_confidence = 0;
         busy.clear();
-        busy.extend(self.engines[node].iter().filter_map(Engine::target));
+        busy.extend(self.engines[node].iter().flatten().map(|op| op.packet));
         for slot in 0..self.engines[node].len() {
-            if !matches!(self.engines[node][slot], Engine::Idle) {
+            if self.engines[node][slot].is_some() {
                 continue;
             }
             let (best, saw_candidate) = self.pick_candidate(net, node, busy);
@@ -373,384 +382,155 @@ impl DiscoLayer {
         }
     }
 
-    /// Progress an active engine by one cycle.
+    /// Progresses one engine by one cycle; an operation that ends goes
+    /// through [`finish`](Self::finish).
     fn step_engine(&mut self, net: &mut Network, node: usize, slot: usize) {
-        let node_id = NodeId(node);
-        match std::mem::replace(&mut self.engines[node][slot], Engine::Idle) {
-            Engine::Idle => {}
-            Engine::CompressingWhole {
-                port,
-                vc,
-                packet,
-                mut cycles_left,
-                result,
-            } => {
-                let vc_ref = net.router(node_id).vc(port, vc);
-                // `try_get`: the fault layer may have retired the packet
-                // outright (dropped or eaten at ejection), which also
-                // reads as "no longer whole here".
-                let whole = match net.store().try_get(packet) {
-                    Some(pkt) => {
-                        let size = pkt.size_flits();
-                        vc_ref.resident_of(packet) == size && vc_ref.has_tail_of(packet)
-                    }
-                    None => false,
-                };
-                if !whole {
-                    // The packet started moving (it reached the front and
-                    // the switch granted it): non-blocking abort.
-                    self.stats.aborts += 1;
-                    disco_trace::emit!(
-                        net,
-                        disco_trace::Event::CodecEnd {
-                            packet: packet.0,
-                            node: node as u16,
-                            op: disco_trace::codec::COMPRESS,
-                            outcome: disco_trace::codec::ABORTED,
-                        }
-                    );
-                    return;
-                }
-                cycles_left -= 1;
-                if cycles_left > 0 {
-                    self.engines[node][slot] = Engine::CompressingWhole {
-                        port,
-                        vc,
-                        packet,
-                        cycles_left,
-                        result,
-                    };
-                    return;
-                }
-                // Fault hook: a corrupted compressor output is caught by
-                // decompress-and-verify here and the packet falls back to
-                // uncompressed delivery (same downstream handling as an
-                // incompressible line).
-                if !result.is_compressed() || net.codec_output_faulted(node_id, packet, &result) {
-                    net.store_mut().get_mut(packet).compressible = false;
-                    self.stats.incompressible += 1;
-                    disco_trace::emit!(
-                        net,
-                        disco_trace::Event::CodecEnd {
-                            packet: packet.0,
-                            node: node as u16,
-                            op: disco_trace::codec::COMPRESS,
-                            outcome: disco_trace::codec::INCOMPRESSIBLE,
-                        }
-                    );
-                    return;
-                }
-                let old_size = net.store().get(packet).size_flits();
-                let final_flits = result.size_bytes().div_ceil(FLIT_BYTES).max(1);
-                net.store_mut().get_mut(packet).payload = Payload::Compressed(result);
-                let ok = net.reshape_resident(node_id, port, vc, packet, final_flits, true);
-                debug_assert!(ok, "compression only shrinks");
-                self.stats.compressions += 1;
-                self.per_node_ops[node] += 1;
-                self.stats.flits_saved += (old_size - final_flits) as u64;
-                disco_trace::emit!(
-                    net,
-                    disco_trace::Event::CodecEnd {
-                        packet: packet.0,
-                        node: node as u16,
-                        op: disco_trace::codec::COMPRESS,
-                        outcome: disco_trace::codec::DONE,
-                    }
-                );
+        let Some(mut op) = self.engines[node][slot].take() else {
+            return;
+        };
+        match self.advance(net, NodeId(node), &mut op) {
+            Some(outcome) => self.finish(net, node, &op, outcome),
+            None => self.engines[node][slot] = Some(op),
+        }
+    }
+
+    /// One cycle of the §3.2 step-3 state machine: abort if the shadow
+    /// packet moved, wait out the latency window, then apply the result.
+    /// Returns the outcome once the operation ends.
+    fn advance(&mut self, net: &mut Network, node: NodeId, op: &mut Operation) -> Option<u8> {
+        if !op.in_place(net, node) {
+            // The packet was scheduled away (or started injecting): a
+            // non-blocking abort. The store payload is untouched, so the
+            // packet continues in its old form (§3.2 step 3).
+            return Some(ABORTED);
+        }
+        let committing = !op.committed;
+        if committing {
+            op.cycles_left = op.cycles_left.saturating_sub(1);
+            if op.cycles_left > 0 {
+                return None;
             }
-            Engine::Compressing {
-                port,
-                vc,
-                packet,
-                mut latency_left,
-                mut committed,
-                mut consumed,
-                mut prefix_flits,
-                mut idle_cycles,
-                result,
-            } => {
-                let vc_ref = net.router(node_id).vc(port, vc);
-                if vc_ref.front_packet() != Some(packet) || !vc_ref.front_is_head() {
-                    // The shadow packet was scheduled away: the operation
-                    // aborts; the store payload is still raw, so the
-                    // packet continues uncompressed (§3.2 step 3).
-                    self.stats.aborts += 1;
-                    disco_trace::emit!(
-                        net,
-                        disco_trace::Event::CodecEnd {
-                            packet: packet.0,
-                            node: node as u16,
-                            op: disco_trace::codec::COMPRESS,
-                            outcome: disco_trace::codec::ABORTED,
-                        }
-                    );
-                    return;
-                }
-                if !committed {
-                    latency_left = latency_left.saturating_sub(1);
-                    if latency_left > 0 {
-                        self.engines[node][slot] = Engine::Compressing {
-                            port,
-                            vc,
-                            packet,
-                            latency_left,
-                            committed,
-                            consumed,
-                            prefix_flits,
-                            idle_cycles,
-                            result,
-                        };
-                        return;
-                    }
-                    // The parallel compressor units found no fitting
-                    // encoding, or (fault hook at the commit decision,
-                    // before any resident flit is consumed) its output
-                    // failed verification: release the shadow packet
-                    // untouched and mark it so no downstream engine wastes
-                    // a slot on it again (a header "attempted" bit).
-                    if !result.is_compressed() || net.codec_output_faulted(node_id, packet, &result)
-                    {
-                        net.store_mut().get_mut(packet).compressible = false;
-                        self.stats.incompressible += 1;
-                        disco_trace::emit!(
-                            net,
-                            disco_trace::Event::CodecEnd {
-                                packet: packet.0,
-                                node: node as u16,
-                                op: disco_trace::codec::COMPRESS,
-                                outcome: disco_trace::codec::INCOMPRESSIBLE,
-                            }
-                        );
-                        return;
-                    }
-                    committed = true;
-                }
-                // Committed: consume resident raw flits fragment-wise. The
-                // VC is deliberately NOT locked — waiting for upstream
-                // flits while holding a lock could deadlock two engines
-                // against each other.
-                let (resident, tail_resident) = {
-                    let vc_ref = net.router(node_id).vc(port, vc);
-                    (vc_ref.resident_of(packet), vc_ref.has_tail_of(packet))
-                };
-                let raw_in_buffer = resident - prefix_flits;
-                let k = raw_in_buffer.min(self.params.fragment_rate);
-                if k > 0 {
-                    idle_cycles = 0;
-                    consumed += k;
-                    let total_raw = disco_compress::LINE_BYTES / FLIT_BYTES;
-                    let final_bytes = result.size_bytes();
-                    let partial_bytes = final_bytes * consumed / total_raw;
-                    prefix_flits = partial_bytes.div_ceil(FLIT_BYTES).max(1);
-                    let new_len = prefix_flits + (raw_in_buffer - k);
-                    if consumed == total_raw {
-                        // Final fragment: swap in the compressed payload.
-                        let old_size = net.store().get(packet).size_flits();
-                        let final_flits = final_bytes.div_ceil(FLIT_BYTES).max(1);
-                        net.store_mut().get_mut(packet).payload = Payload::Compressed(result);
-                        let ok = net.reshape_resident(node_id, port, vc, packet, final_flits, true);
-                        debug_assert!(ok, "compression only shrinks");
-                        self.stats.compressions += 1;
-                        self.per_node_ops[node] += 1;
-                        self.stats.flits_saved += (old_size - final_flits) as u64;
-                        disco_trace::emit!(
-                            net,
-                            disco_trace::Event::CodecEnd {
-                                packet: packet.0,
-                                node: node as u16,
-                                op: disco_trace::codec::COMPRESS,
-                                outcome: disco_trace::codec::DONE,
-                            }
-                        );
-                        return;
-                    }
-                    // Mid-stream reshape: if the packet's tail has already
-                    // arrived, the rebuilt segment must keep a tail flit —
-                    // otherwise an abort would leave a packet that can
-                    // never release its VC downstream.
-                    let ok =
-                        net.reshape_resident(node_id, port, vc, packet, new_len, tail_resident);
-                    debug_assert!(ok, "mid-compression reshape only shrinks");
-                } else {
+            op.committed = true;
+        }
+        if let Payload::Compressed(enc) = &op.result {
+            // The parallel compressor units found no fitting encoding,
+            // or (fault hook at the commit decision, before any resident
+            // flit is consumed) decompress-and-verify caught a corrupted
+            // output: release the packet untouched and mark it so no
+            // downstream engine wastes a slot on it again (a header
+            // "attempted" bit).
+            if committing
+                && (!enc.is_compressed() || net.codec_output_faulted(node, op.packet, enc))
+            {
+                net.store_mut().get_mut(op.packet).compressible = false;
+                return Some(INCOMPRESSIBLE);
+            }
+            if op.mode == Mode::Stream {
+                // Consume resident raw flits fragment-wise. The VC is
+                // deliberately NOT locked — waiting for upstream flits
+                // while holding a lock could deadlock two engines against
+                // each other.
+                let vc = net.router(node).vc(op.port, op.vc);
+                let (resident, tail_resident) =
+                    (vc.resident_of(op.packet), vc.has_tail_of(op.packet));
+                let raw_in_buffer = resident - op.prefix_flits;
+                let k = raw_in_buffer.min(FRAGMENT_RATE);
+                if k == 0 {
                     // No fragment arrived: give up after a while (the
                     // packet may have been truncated by an upstream abort
                     // and will never deliver 8 raw flits here).
-                    idle_cycles += 1;
-                    if idle_cycles > 64 {
-                        self.stats.aborts += 1;
-                        disco_trace::emit!(
-                            net,
-                            disco_trace::Event::CodecEnd {
-                                packet: packet.0,
-                                node: node as u16,
-                                op: disco_trace::codec::COMPRESS,
-                                outcome: disco_trace::codec::ABORTED,
-                            }
-                        );
-                        return;
-                    }
+                    op.idle_cycles += 1;
+                    return (op.idle_cycles > 64).then_some(ABORTED);
                 }
-                self.engines[node][slot] = Engine::Compressing {
-                    port,
-                    vc,
-                    packet,
-                    latency_left,
-                    committed,
-                    consumed,
-                    prefix_flits,
-                    idle_cycles,
-                    result,
-                };
-            }
-            Engine::CompressingQueued {
-                tile,
-                vc,
-                packet,
-                mut cycles_left,
-                result,
-            } => {
-                if !net.inject_backlog(NodeId(tile), vc).contains(&packet) {
-                    // Injection started before compression finished.
-                    self.stats.aborts += 1;
-                    disco_trace::emit!(
-                        net,
-                        disco_trace::Event::CodecEnd {
-                            packet: packet.0,
-                            node: node as u16,
-                            op: disco_trace::codec::COMPRESS,
-                            outcome: disco_trace::codec::ABORTED,
-                        }
+                op.idle_cycles = 0;
+                op.consumed += k;
+                if op.consumed != RAW_FLITS {
+                    let partial_bytes = enc.size_bytes() * op.consumed / RAW_FLITS;
+                    op.prefix_flits = partial_bytes.div_ceil(FLIT_BYTES).max(1);
+                    // Mid-stream reshape: if the packet's tail has
+                    // already arrived, the rebuilt segment must keep a
+                    // tail flit — otherwise an abort would leave a packet
+                    // that can never release its VC downstream.
+                    let new_len = op.prefix_flits + (raw_in_buffer - k);
+                    let ok = net.reshape_resident(
+                        node,
+                        op.port,
+                        op.vc,
+                        op.packet,
+                        new_len,
+                        tail_resident,
                     );
-                    return;
+                    debug_assert!(ok, "mid-compression reshape only shrinks");
+                    return None;
                 }
-                cycles_left -= 1;
-                if cycles_left > 0 {
-                    self.engines[node][slot] = Engine::CompressingQueued {
-                        tile,
-                        vc,
-                        packet,
-                        cycles_left,
-                        result,
-                    };
-                    return;
-                }
-                // Fault hook: see the compressing-whole case above.
-                if !result.is_compressed() || net.codec_output_faulted(node_id, packet, &result) {
-                    net.store_mut().get_mut(packet).compressible = false;
-                    self.stats.incompressible += 1;
-                    disco_trace::emit!(
-                        net,
-                        disco_trace::Event::CodecEnd {
-                            packet: packet.0,
-                            node: node as u16,
-                            op: disco_trace::codec::COMPRESS,
-                            outcome: disco_trace::codec::INCOMPRESSIBLE,
-                        }
-                    );
-                    return;
-                }
-                let old_size = net.store().get(packet).size_flits();
-                let final_flits = result.size_bytes().div_ceil(FLIT_BYTES).max(1);
-                net.store_mut().get_mut(packet).payload = Payload::Compressed(result);
-                self.stats.compressions += 1;
-                self.stats.queue_compressions += 1;
-                self.per_node_ops[node] += 1;
-                self.stats.flits_saved += (old_size - final_flits) as u64;
-                disco_trace::emit!(
-                    net,
-                    disco_trace::Event::CodecEnd {
-                        packet: packet.0,
-                        node: node as u16,
-                        op: disco_trace::codec::COMPRESS,
-                        outcome: disco_trace::codec::DONE,
-                    }
-                );
-            }
-            Engine::Decompressing {
-                port,
-                vc,
-                packet,
-                mut latency_left,
-                line,
-            } => {
-                let vc_ref = net.router(node_id).vc(port, vc);
-                // `try_get`: see the compressing-whole case above.
-                let whole = match net.store().try_get(packet) {
-                    Some(pkt) => {
-                        let size = pkt.size_flits();
-                        vc_ref.resident_of(packet) == size && vc_ref.has_tail_of(packet)
-                    }
-                    None => false,
-                };
-                if !whole {
-                    self.stats.aborts += 1;
-                    if !self.params.non_blocking {
-                        net.router_mut(node_id).set_locked(port, vc, false);
-                    }
-                    disco_trace::emit!(
-                        net,
-                        disco_trace::Event::CodecEnd {
-                            packet: packet.0,
-                            node: node as u16,
-                            op: disco_trace::codec::DECOMPRESS,
-                            outcome: disco_trace::codec::ABORTED,
-                        }
-                    );
-                    return;
-                }
-                latency_left = latency_left.saturating_sub(1);
-                if latency_left > 0 {
-                    self.engines[node][slot] = Engine::Decompressing {
-                        port,
-                        vc,
-                        packet,
-                        latency_left,
-                        line,
-                    };
-                    return;
-                }
-                let raw_flits = disco_compress::LINE_BYTES / FLIT_BYTES;
-                if !net.reshape_resident(node_id, port, vc, packet, raw_flits, true) {
-                    // No room to expand: leave the packet compressed; the
-                    // NI at the destination will decompress instead.
-                    self.stats.growth_stalls += 1;
-                    if !self.params.non_blocking {
-                        net.router_mut(node_id).set_locked(port, vc, false);
-                    }
-                    disco_trace::emit!(
-                        net,
-                        disco_trace::Event::CodecEnd {
-                            packet: packet.0,
-                            node: node as u16,
-                            op: disco_trace::codec::DECOMPRESS,
-                            outcome: disco_trace::codec::GROWTH_STALL,
-                        }
-                    );
-                    return;
-                }
-                {
-                    let pkt = net.store_mut().get_mut(packet);
-                    pkt.payload = Payload::Raw(line);
-                    // A packet decompressed for its destination must not
-                    // be picked up again by a downstream compressor.
-                    pkt.compressible = false;
-                }
-                if !self.params.non_blocking {
-                    net.router_mut(node_id).set_locked(port, vc, false);
-                }
-                self.stats.decompressions += 1;
-                self.per_node_ops[node] += 1;
-                disco_trace::emit!(
-                    net,
-                    disco_trace::Event::CodecEnd {
-                        packet: packet.0,
-                        node: node as u16,
-                        op: disco_trace::codec::DECOMPRESS,
-                        outcome: disco_trace::codec::DONE,
-                    }
-                );
+                // Final fragment: swap in the compressed payload.
             }
         }
+        Some(self.apply(net, node, op))
+    }
+
+    /// Swaps a finished operation's result into its packet. A packet in
+    /// a VC is reshaped to the result's size first, which fails only
+    /// when a decompression's growth does not fit; the packet then stays
+    /// compressed and the NI at the destination decompresses instead.
+    fn apply(&mut self, net: &mut Network, node: NodeId, op: &mut Operation) -> u8 {
+        let new_flits = op.result.flits();
+        let fits = op.mode == Mode::Queued
+            || net.reshape_resident(node, op.port, op.vc, op.packet, new_flits, true);
+        if !fits && op.mode == Mode::Decomp {
+            return GROWTH_STALL;
+        }
+        debug_assert!(fits, "compression only shrinks");
+        let pkt = net.store_mut().get_mut(op.packet);
+        let old_flits = pkt.size_flits();
+        pkt.payload = std::mem::replace(&mut op.result, Payload::None);
+        match op.mode {
+            // A packet decompressed for its destination must not be
+            // picked up again by a downstream compressor.
+            Mode::Decomp => pkt.compressible = false,
+            Mode::Queued => {
+                self.stats.queue_compressions += 1;
+                self.stats.flits_saved += (old_flits - new_flits) as u64;
+            }
+            Mode::Whole | Mode::Stream => self.stats.flits_saved += (old_flits - new_flits) as u64,
+        }
+        DONE
+    }
+
+    /// Ends an operation: counts its outcome, releases a blocking
+    /// decompression's VC lock, and traces the end.
+    fn finish(&mut self, net: &mut Network, node: usize, op: &Operation, outcome: u8) {
+        match outcome {
+            ABORTED => self.stats.aborts += 1,
+            INCOMPRESSIBLE => self.stats.incompressible += 1,
+            GROWTH_STALL => self.stats.growth_stalls += 1,
+            _ => {
+                self.per_node_ops[node] += 1;
+                match op.mode {
+                    Mode::Decomp => self.stats.decompressions += 1,
+                    Mode::Whole | Mode::Stream | Mode::Queued => self.stats.compressions += 1,
+                }
+            }
+        }
+        if self.locks(op.mode) {
+            net.router_mut(NodeId(node))
+                .set_locked(op.port, op.vc, false);
+        }
+        disco_trace::emit!(
+            net,
+            disco_trace::Event::CodecEnd {
+                packet: op.packet.0,
+                node: node as u16,
+                op: op.mode.trace_op(),
+                outcome,
+            }
+        );
+    }
+
+    /// Whether an operation in `mode` holds its VC locked throughout:
+    /// decompression when the non-blocking mode is off.
+    fn locks(&self, mode: Mode) -> bool {
+        mode == Mode::Decomp && !self.params.non_blocking
     }
 
     /// Step 1 + 2: filter this cycle's losers and pick the best candidate
@@ -788,7 +568,11 @@ impl DiscoLayer {
                 if !pkt.compressible {
                     continue;
                 }
-                let msg = Msg::decode(pkt.tag);
+                // A packet whose tag is not a protocol message (a
+                // foreign tag) is neither compressed nor decompressed.
+                let Some(msg) = Msg::try_decode(pkt.tag) else {
+                    continue;
+                };
                 let is_front = vc_ref.front_packet() == Some(pid) && vc_ref.front_is_head();
                 let whole = vc_ref.resident_of(pid) == pkt.size_flits() && vc_ref.has_tail_of(pid);
                 let remote = depth.saturating_sub(
@@ -865,7 +649,10 @@ impl DiscoLayer {
                     continue;
                 }
                 let pkt = net.store().get(pid);
-                if !pkt.compressible || !matches!(pkt.payload, Payload::Raw(_)) {
+                if !pkt.compressible
+                    || !matches!(pkt.payload, Payload::Raw(_))
+                    || Msg::try_decode(pkt.tag).is_none()
+                {
                     continue;
                 }
                 let dir = disco_noc::routing::xy_route(net.topology(), node_id, pkt.dst);
@@ -896,146 +683,82 @@ impl DiscoLayer {
         (pick, saw_candidate)
     }
 
-    /// Commit phase for one start: charge the codec, build the engine,
-    /// and (for blocking decompression) take the VC lock. The only
-    /// mutation site of the start path.
+    /// Commit phase for one start: charge the codec, build the
+    /// operation, and (for blocking decompression) take the VC lock. The
+    /// only mutation site of the start path.
     fn commit_start(&mut self, net: &mut Network, node: usize, action: StartAction) {
         let StartAction {
             slot,
             port,
             vc,
-            packet: pid,
+            packet,
             mode,
         } = action;
-        let node_id = NodeId(node);
         debug_assert!(
-            matches!(self.engines[node][slot], Engine::Idle),
+            self.engines[node][slot].is_none(),
             "scan only targets idle slots"
         );
-        let pkt = net.store().get(pid);
         self.stats.started += 1;
-        match mode {
-            Mode::Decomp => {
-                let Payload::Compressed(c) = &pkt.payload else {
-                    unreachable!("checked above")
+        let (result, cycles_left) = match &net.store().get(packet).payload {
+            Payload::Raw(line) => {
+                // The whole-packet modes also move the packet through the
+                // compressor datapath; streaming does so after commit.
+                let transfer = if mode == Mode::Stream {
+                    0
+                } else {
+                    RAW_FLITS.div_ceil(FRAGMENT_RATE) as u64
                 };
-                let line = match self.codec.decompress(c) {
-                    Ok(line) => line,
-                    Err(e) => {
-                        // An in-flight encoding that fails to decode means
-                        // the payload was corrupted after compression;
-                        // abort the operation instead of poisoning the
-                        // engine.
-                        debug_assert!(false, "in-flight encoding invalid: {e:?}");
-                        self.stats.aborts += 1;
-                        return;
-                    }
-                };
-                let latency = self.codec.decompression_latency(c).max(1);
-                if !self.params.non_blocking {
-                    net.router_mut(node_id).set_locked(port, vc, true);
+                let latency = self.codec.compression_latency().max(1) + transfer;
+                (Payload::Compressed(self.codec.compress(line)), latency)
+            }
+            Payload::Compressed(c) => match self.codec.decompress(c) {
+                Ok(line) => (
+                    Payload::Raw(line),
+                    self.codec.decompression_latency(c).max(1),
+                ),
+                Err(e) => {
+                    // An in-flight encoding that fails to decode means the
+                    // payload was corrupted after compression; abort the
+                    // operation instead of poisoning the engine.
+                    debug_assert!(false, "in-flight encoding invalid: {e:?}");
+                    self.stats.aborts += 1;
+                    return;
                 }
-                self.engines[node][slot] = Engine::Decompressing {
-                    port,
-                    vc,
-                    packet: pid,
-                    latency_left: latency,
-                    line,
-                };
-                disco_trace::emit!(
-                    net,
-                    disco_trace::Event::CodecStart {
-                        packet: pid.0,
-                        node: node as u16,
-                        op: disco_trace::codec::DECOMPRESS,
-                        blocking: !self.params.non_blocking,
-                    }
-                );
-            }
-            Mode::Whole => {
-                let Payload::Raw(line) = &pkt.payload else {
-                    unreachable!("checked above")
-                };
-                let result = self.codec.compress(line);
-                let total_raw = (disco_compress::LINE_BYTES / FLIT_BYTES) as u64;
-                let cycles = self.codec.compression_latency().max(1)
-                    + total_raw.div_ceil(self.params.fragment_rate.max(1) as u64);
-                self.engines[node][slot] = Engine::CompressingWhole {
-                    port,
-                    vc,
-                    packet: pid,
-                    cycles_left: cycles,
-                    result,
-                };
-                disco_trace::emit!(
-                    net,
-                    disco_trace::Event::CodecStart {
-                        packet: pid.0,
-                        node: node as u16,
-                        op: disco_trace::codec::COMPRESS,
-                        blocking: false,
-                    }
-                );
-            }
-            Mode::Queued => {
-                let Payload::Raw(line) = &pkt.payload else {
-                    unreachable!("checked above")
-                };
-                let result = self.codec.compress(line);
-                let total_raw = (disco_compress::LINE_BYTES / FLIT_BYTES) as u64;
-                let cycles = self.codec.compression_latency().max(1)
-                    + total_raw.div_ceil(self.params.fragment_rate.max(1) as u64);
-                self.engines[node][slot] = Engine::CompressingQueued {
-                    tile: port,
-                    vc,
-                    packet: pid,
-                    cycles_left: cycles,
-                    result,
-                };
-                disco_trace::emit!(
-                    net,
-                    disco_trace::Event::CodecStart {
-                        packet: pid.0,
-                        node: node as u16,
-                        op: disco_trace::codec::COMPRESS,
-                        blocking: false,
-                    }
-                );
-            }
-            Mode::Stream => {
-                let Payload::Raw(line) = &pkt.payload else {
-                    unreachable!("checked above")
-                };
-                let result = self.codec.compress(line);
-                let latency = self.codec.compression_latency().max(1);
-                self.engines[node][slot] = Engine::Compressing {
-                    port,
-                    vc,
-                    packet: pid,
-                    latency_left: latency,
-                    committed: false,
-                    consumed: 0,
-                    prefix_flits: 0,
-                    idle_cycles: 0,
-                    result,
-                };
-                disco_trace::emit!(
-                    net,
-                    disco_trace::Event::CodecStart {
-                        packet: pid.0,
-                        node: node as u16,
-                        op: disco_trace::codec::COMPRESS,
-                        blocking: false,
-                    }
-                );
-            }
+            },
+            Payload::None => unreachable!("the scan picks data packets only"),
+        };
+        let blocking = self.locks(mode);
+        if blocking {
+            net.router_mut(NodeId(node)).set_locked(port, vc, true);
         }
+        self.engines[node][slot] = Some(Operation {
+            mode,
+            packet,
+            port,
+            vc,
+            cycles_left,
+            result,
+            committed: false,
+            consumed: 0,
+            prefix_flits: 0,
+            idle_cycles: 0,
+        });
+        disco_trace::emit!(
+            net,
+            disco_trace::Event::CodecStart {
+                packet: packet.0,
+                node: node as u16,
+                op: mode.trace_op(),
+                blocking,
+            }
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disco_compress::CacheLine;
     use disco_noc::packet::PacketClass;
     use disco_noc::topology::Mesh;
     use disco_noc::NocConfig;
@@ -1418,116 +1141,34 @@ disco_snapshot::snap_fields!(DiscoStats {
     queue_compressions,
 });
 
-impl disco_snapshot::Snap for Engine {
+impl disco_snapshot::Snap for Mode {
     fn snap(&self, w: &mut disco_snapshot::Writer) {
-        match self {
-            Engine::Idle => w.put(&0u8),
-            Engine::CompressingWhole {
-                port,
-                vc,
-                packet,
-                cycles_left,
-                result,
-            } => {
-                w.put(&1u8);
-                w.put(port);
-                w.put(vc);
-                w.put(packet);
-                w.put(cycles_left);
-                w.put(result);
-            }
-            Engine::Compressing {
-                port,
-                vc,
-                packet,
-                latency_left,
-                committed,
-                consumed,
-                prefix_flits,
-                idle_cycles,
-                result,
-            } => {
-                w.put(&2u8);
-                w.put(port);
-                w.put(vc);
-                w.put(packet);
-                w.put(latency_left);
-                w.put(committed);
-                w.put(consumed);
-                w.put(prefix_flits);
-                w.put(idle_cycles);
-                w.put(result);
-            }
-            Engine::CompressingQueued {
-                tile,
-                vc,
-                packet,
-                cycles_left,
-                result,
-            } => {
-                w.put(&3u8);
-                w.put(tile);
-                w.put(vc);
-                w.put(packet);
-                w.put(cycles_left);
-                w.put(result);
-            }
-            Engine::Decompressing {
-                port,
-                vc,
-                packet,
-                latency_left,
-                line,
-            } => {
-                w.put(&4u8);
-                w.put(port);
-                w.put(vc);
-                w.put(packet);
-                w.put(latency_left);
-                w.put(line);
-            }
-        }
+        w.put(&(*self as u8));
     }
 
     fn restore(r: &mut disco_snapshot::Reader<'_>) -> Result<Self, disco_snapshot::SnapError> {
         Ok(match r.take::<u8>()? {
-            0 => Engine::Idle,
-            1 => Engine::CompressingWhole {
-                port: r.take()?,
-                vc: r.take()?,
-                packet: r.take()?,
-                cycles_left: r.take()?,
-                result: r.take()?,
-            },
-            2 => Engine::Compressing {
-                port: r.take()?,
-                vc: r.take()?,
-                packet: r.take()?,
-                latency_left: r.take()?,
-                committed: r.take()?,
-                consumed: r.take()?,
-                prefix_flits: r.take()?,
-                idle_cycles: r.take()?,
-                result: r.take()?,
-            },
-            3 => Engine::CompressingQueued {
-                tile: r.take()?,
-                vc: r.take()?,
-                packet: r.take()?,
-                cycles_left: r.take()?,
-                result: r.take()?,
-            },
-            4 => Engine::Decompressing {
-                port: r.take()?,
-                vc: r.take()?,
-                packet: r.take()?,
-                latency_left: r.take()?,
-                line: r.take()?,
-            },
-            tag => return Err(disco_snapshot::malformed(format!("Engine tag {tag}"))),
+            0 => Mode::Whole,
+            1 => Mode::Stream,
+            2 => Mode::Decomp,
+            3 => Mode::Queued,
+            tag => return Err(disco_snapshot::malformed(format!("engine mode tag {tag}"))),
         })
     }
 }
+
+disco_snapshot::snap_fields!(Operation {
+    mode,
+    packet,
+    port,
+    vc,
+    cycles_left,
+    result,
+    committed,
+    consumed,
+    prefix_flits,
+    idle_cycles,
+});
 
 impl DiscoLayer {
     /// Writes the layer's mutable state: every engine, the arbitrator's
@@ -1551,7 +1192,7 @@ impl DiscoLayer {
         &mut self,
         r: &mut disco_snapshot::Reader<'_>,
     ) -> Result<(), disco_snapshot::SnapError> {
-        let engines: Vec<Vec<Engine>> = r.take()?;
+        let engines: Vec<Vec<Option<Operation>>> = r.take()?;
         if engines.len() != self.engines.len() {
             return Err(disco_snapshot::malformed(format!(
                 "{} engine routers in snapshot, {} rebuilt",

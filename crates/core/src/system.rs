@@ -295,16 +295,31 @@ impl System {
         enc
     }
 
-    // --------------------------------------------------------------
-    // Placement rules: payload form + codec latency at each site.
-    // --------------------------------------------------------------
+    /// One endpoint compression: the encoding and its latency, counted
+    /// as a codec op.
+    fn endpoint_compress(&mut self, line: &CacheLine) -> (disco_compress::CompressedLine, u64) {
+        self.codec_ops.compressions += 1;
+        (self.compress_line(line), self.codec.compression_latency())
+    }
 
-    /// Bank → core/requester: form and extra latency when a bank sends a
-    /// stored line out.
-    fn bank_send(&mut self, stored: &StoredLine) -> (Payload, u64) {
-        let r = self.bank_send_inner(stored);
-        self.trace_endpoint_codec(disco_trace::site::BANK_SEND, r.1);
-        r
+    /// One endpoint decompression of a stored line: the raw line and its
+    /// latency, counted as a codec op.
+    fn endpoint_decompress(&mut self, c: &disco_compress::CompressedLine) -> (CacheLine, u64) {
+        self.codec_ops.decompressions += 1;
+        let line = self
+            .codec
+            .decompress(c)
+            .expect("stored encodings are valid");
+        (line, self.codec.decompression_latency(c))
+    }
+
+    /// The CNC two-level hop: one side decompresses, the other
+    /// re-compresses the same encoding. Returns the summed latency,
+    /// counting both codec ops.
+    fn endpoint_recode(&mut self, c: &disco_compress::CompressedLine) -> u64 {
+        self.codec_ops.decompressions += 1;
+        self.codec_ops.compressions += 1;
+        self.codec.decompression_latency(c) + self.codec.compression_latency()
     }
 
     /// Records codec latency charged at an endpoint site (tracing only).
@@ -314,9 +329,15 @@ impl System {
         }
     }
 
-    fn bank_send_inner(&mut self, stored: &StoredLine) -> (Payload, u64) {
+    // --------------------------------------------------------------
+    // Placement rules: payload form + codec latency at each site.
+    // --------------------------------------------------------------
+
+    /// Bank → core/requester: form and extra latency when a bank sends a
+    /// stored line out.
+    fn bank_send(&mut self, stored: &StoredLine) -> (Payload, u64) {
         use CompressionPlacement::*;
-        match (self.placement, stored) {
+        let (payload, lat) = match (self.placement, stored) {
             (Baseline, StoredLine::Raw(l)) => (Payload::Raw(*l), 0),
             (Baseline, StoredLine::Compressed(_)) => {
                 unreachable!("baseline never stores compressed lines")
@@ -325,27 +346,17 @@ impl System {
             (Ideal, StoredLine::Raw(l)) => (Payload::Raw(*l), 0),
             (CacheOnly, StoredLine::Compressed(c)) => {
                 // Decompress in the bank controller before injection.
-                let lat = self.codec.decompression_latency(c);
-                self.codec_ops.decompressions += 1;
-                let line = self
-                    .codec
-                    .decompress(c)
-                    .expect("stored encodings are valid");
+                let (line, lat) = self.endpoint_decompress(c);
                 (Payload::Raw(line), lat)
             }
             (CacheOnly, StoredLine::Raw(l)) => (Payload::Raw(*l), 0),
             (CacheAndNi, StoredLine::Compressed(c)) => {
                 // Two-level: bank decompresses, the NI re-compresses the
                 // packet (§4.2 explains the resulting excessive latency).
-                let lat = self.codec.decompression_latency(c) + self.codec.compression_latency();
-                self.codec_ops.decompressions += 1;
-                self.codec_ops.compressions += 1;
-                (Payload::Compressed(c.clone()), lat)
+                (Payload::Compressed(c.clone()), self.endpoint_recode(c))
             }
             (CacheAndNi, StoredLine::Raw(l)) => {
-                let lat = self.codec.compression_latency();
-                self.codec_ops.compressions += 1;
-                let enc = self.compress_line(l);
+                let (enc, lat) = self.endpoint_compress(l);
                 if enc.is_compressed() {
                     (Payload::Compressed(enc), lat)
                 } else {
@@ -354,19 +365,15 @@ impl System {
             }
             (Disco, StoredLine::Compressed(c)) => (Payload::Compressed(c.clone()), 0),
             (Disco, StoredLine::Raw(l)) => (Payload::Raw(*l), 0),
-        }
+        };
+        self.trace_endpoint_codec(disco_trace::site::BANK_SEND, lat);
+        (payload, lat)
     }
 
     /// Data payload injected by a core or memory controller.
     fn endpoint_send(&mut self, line: &CacheLine) -> (Payload, u64) {
-        let r = self.endpoint_send_inner(line);
-        self.trace_endpoint_codec(disco_trace::site::ENDPOINT_SEND, r.1);
-        r
-    }
-
-    fn endpoint_send_inner(&mut self, line: &CacheLine) -> (Payload, u64) {
         use CompressionPlacement::*;
-        match self.placement {
+        let (payload, lat) = match self.placement {
             Baseline | CacheOnly | Disco => (Payload::Raw(*line), 0),
             Ideal => {
                 let enc = self.compress_line(line);
@@ -377,26 +384,20 @@ impl System {
                 }
             }
             CacheAndNi => {
-                let lat = self.codec.compression_latency();
-                self.codec_ops.compressions += 1;
-                let enc = self.compress_line(line);
+                let (enc, lat) = self.endpoint_compress(line);
                 if enc.is_compressed() {
                     (Payload::Compressed(enc), lat)
                 } else {
                     (Payload::Raw(*line), lat)
                 }
             }
-        }
+        };
+        self.trace_endpoint_codec(disco_trace::site::ENDPOINT_SEND, lat);
+        (payload, lat)
     }
 
     /// Form and codec latency for storing an arriving payload in a bank.
     fn store_prep(&mut self, payload: &Payload) -> (StoredLine, u64) {
-        let r = self.store_prep_inner(payload);
-        self.trace_endpoint_codec(disco_trace::site::STORE_PREP, r.1);
-        r
-    }
-
-    fn store_prep_inner(&mut self, payload: &Payload) -> (StoredLine, u64) {
         use CompressionPlacement::*;
         let line = match payload {
             Payload::Raw(l) => *l,
@@ -406,60 +407,39 @@ impl System {
                 .expect("in-flight encodings are valid"),
             Payload::None => unreachable!("data packets carry payloads"),
         };
-        match (self.placement, payload) {
+        let (stored, lat) = match (self.placement, payload) {
             (Baseline, _) => (StoredLine::Raw(line), 0),
             (Ideal, Payload::Compressed(c)) => (StoredLine::Compressed(c.clone()), 0),
             (Ideal, _) => {
                 let enc = self.compress_line(&line);
                 (StoredLine::Compressed(enc), 0)
             }
-            (CacheOnly, _) => {
-                let lat = self.codec.compression_latency();
-                self.codec_ops.compressions += 1;
-                let enc = self.compress_line(&line);
-                (StoredLine::Compressed(enc), lat)
-            }
             (CacheAndNi, Payload::Compressed(c)) => {
                 // NI decompresses the packet, the cache compressor
                 // re-compresses for storage.
-                let lat = self.codec.decompression_latency(c) + self.codec.compression_latency();
-                self.codec_ops.decompressions += 1;
-                self.codec_ops.compressions += 1;
-                (StoredLine::Compressed(c.clone()), lat)
-            }
-            (CacheAndNi, _) => {
-                let lat = self.codec.compression_latency();
-                self.codec_ops.compressions += 1;
-                let enc = self.compress_line(&line);
-                (StoredLine::Compressed(enc), lat)
+                (StoredLine::Compressed(c.clone()), self.endpoint_recode(c))
             }
             (Disco, Payload::Compressed(c)) => {
                 // Arrived compressed (in-network or injected so): store
                 // as-is, zero latency — DISCO's bank-side win.
                 (StoredLine::Compressed(c.clone()), 0)
             }
-            (Disco, _) => {
-                // In-network compression did not happen in time: the bank
-                // compressor covers for it.
-                let lat = self.codec.compression_latency();
-                self.codec_ops.compressions += 1;
-                let enc = self.compress_line(&line);
+            (CacheOnly | CacheAndNi | Disco, _) => {
+                // The bank compressor encodes a raw arrival (for DISCO:
+                // in-network compression did not happen in time).
+                let (enc, lat) = self.endpoint_compress(&line);
                 (StoredLine::Compressed(enc), lat)
             }
-        }
+        };
+        self.trace_endpoint_codec(disco_trace::site::STORE_PREP, lat);
+        (stored, lat)
     }
 
     /// Ejection-side latency when a data payload reaches a core's NI and
     /// must enter the MSHR raw.
     fn core_receive(&mut self, payload: &Payload) -> (CacheLine, u64) {
-        let r = self.core_receive_inner(payload);
-        self.trace_endpoint_codec(disco_trace::site::CORE_RECEIVE, r.1);
-        r
-    }
-
-    fn core_receive_inner(&mut self, payload: &Payload) -> (CacheLine, u64) {
         use CompressionPlacement::*;
-        match payload {
+        let (line, lat) = match payload {
             Payload::Raw(l) => (*l, 0),
             Payload::Compressed(c) => {
                 let line = self
@@ -476,7 +456,9 @@ impl System {
                 (line, lat)
             }
             Payload::None => unreachable!("data packets carry payloads"),
-        }
+        };
+        self.trace_endpoint_codec(disco_trace::site::CORE_RECEIVE, lat);
+        (line, lat)
     }
 
     // --------------------------------------------------------------
@@ -1030,34 +1012,22 @@ impl System {
 
     /// Payload form for a dirty LLC eviction heading to DRAM.
     fn bank_evict_payload(&mut self, stored: &StoredLine) -> (Payload, u64) {
-        let r = self.bank_evict_payload_inner(stored);
-        self.trace_endpoint_codec(disco_trace::site::BANK_EVICT, r.1);
-        r
-    }
-
-    fn bank_evict_payload_inner(&mut self, stored: &StoredLine) -> (Payload, u64) {
         use CompressionPlacement::*;
-        match (self.placement, stored) {
+        let (payload, lat) = match (self.placement, stored) {
             (Disco, StoredLine::Compressed(c)) => (Payload::Compressed(c.clone()), 0),
             (Ideal, StoredLine::Compressed(c)) => (Payload::Compressed(c.clone()), 0),
             (_, StoredLine::Raw(l)) => (Payload::Raw(*l), 0),
             (CacheAndNi, StoredLine::Compressed(c)) => {
                 // Bank decompresses for DRAM, NI re-compresses the packet.
-                let lat = self.codec.decompression_latency(c) + self.codec.compression_latency();
-                self.codec_ops.decompressions += 1;
-                self.codec_ops.compressions += 1;
-                (Payload::Compressed(c.clone()), lat)
+                (Payload::Compressed(c.clone()), self.endpoint_recode(c))
             }
             (_, StoredLine::Compressed(c)) => {
-                let lat = self.codec.decompression_latency(c);
-                self.codec_ops.decompressions += 1;
-                let line = self
-                    .codec
-                    .decompress(c)
-                    .expect("stored encodings are valid");
+                let (line, lat) = self.endpoint_decompress(c);
                 (Payload::Raw(line), lat)
             }
-        }
+        };
+        self.trace_endpoint_codec(disco_trace::site::BANK_EVICT, lat);
+        (payload, lat)
     }
 
     /// Runs to completion (or the deadline) and reports, overriding the

@@ -181,3 +181,90 @@ proptest! {
         drive_and_check(&lines, &[Op::Writeback, Op::MemWriteback, Op::DataToCore]);
     }
 }
+
+#[test]
+fn foreign_tags_are_skipped_not_rewritten() {
+    // An 8×8 mesh under a burst heavy enough to lose switch allocations,
+    // with seeded arbitrary tags mixed into valid protocol messages. A
+    // packet whose tag does not decode is neither compressed nor
+    // decompressed; the engines keep working on the valid ones, and
+    // every payload arrives intact.
+    let mesh = Mesh::new(8, 8);
+    let nodes = mesh.nodes();
+    let mut net = Network::new(mesh, NocConfig::default());
+    let mut layer = DiscoLayer::new(eager(), Codec::delta(), nodes);
+    let codec = Codec::delta();
+    let model = ValueModel::new(Benchmark::Dedup.profile().value, 11);
+    let mut x = 0x2016_d15c_0f0f_1234u64;
+    // (packet, destination, sent payload, line, foreign tag)
+    let mut sent = Vec::new();
+    for i in 0..800usize {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let (src, dst) = (i % nodes, (i * 37 + 11) % nodes);
+        if src == dst {
+            continue;
+        }
+        let tag = if i % 2 == 0 {
+            x
+        } else {
+            let op = [Op::Writeback, Op::DataToCore, Op::MemWriteback][i % 3];
+            Msg::new(op, dst.min(255), i as u64).encode()
+        };
+        let line = model.line(i as u64, 0);
+        let enc = codec.compress(&line);
+        let payload = if i % 4 < 2 && enc.is_compressed() {
+            Payload::Compressed(enc)
+        } else {
+            Payload::Raw(line)
+        };
+        let foreign = Msg::try_decode(tag).is_none();
+        let pid = net.send(
+            NodeId(src),
+            NodeId(dst),
+            PacketClass::Response,
+            payload.clone(),
+            true,
+            tag,
+        );
+        sent.push((pid, dst, payload, line, foreign));
+    }
+    let foreign_sent = sent.iter().filter(|s| s.4).count();
+    assert!(foreign_sent > 100, "only {foreign_sent} foreign tags");
+    let mut delivered = 0;
+    while delivered < sent.len() {
+        net.tick();
+        layer.tick(&mut net);
+        for n in 0..nodes {
+            for pkt in net.take_delivered(NodeId(n)) {
+                let (_, dst, payload, line, foreign) = sent
+                    .iter()
+                    .find(|s| s.0 == pkt.id)
+                    .expect("delivered packet was sent");
+                assert_eq!(*dst, n);
+                let got = match &pkt.payload {
+                    Payload::Raw(l) => *l,
+                    Payload::Compressed(c) => codec.decompress(c).expect("valid"),
+                    Payload::None => panic!("data packet lost its payload"),
+                };
+                assert_eq!(got, *line, "payload corrupted in flight");
+                if *foreign {
+                    assert_eq!(
+                        pkt.payload.is_compressed(),
+                        payload.is_compressed(),
+                        "a foreign-tag packet was rewritten in flight"
+                    );
+                }
+                delivered += 1;
+            }
+        }
+        assert!(net.now() < 500_000, "traffic must drain");
+    }
+    assert!(net.stats().sa_losses > 0, "the burst must lose allocations");
+    let stats = layer.stats();
+    assert!(
+        stats.started > 0 && stats.compressions + stats.decompressions > 0,
+        "engines must still work on valid tags: {stats:?}"
+    );
+}
