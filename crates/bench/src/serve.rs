@@ -1,9 +1,10 @@
 //! Simulation-as-a-service: a long-running job-queue engine behind the
 //! `disco-serve` binary.
 //!
-//! A queue file (JSON, schema below) lists independent simulation jobs
-//! on the [`SimBuilder`] axes. The engine fans them across OS worker
-//! threads ([`disco_pareto::exec::fan_out`]), streams a heartbeat
+//! A queue file (JSON, schema below) lists independent simulation jobs,
+//! each a name plus a [`RunSpec`] parsed by [`RunSpec::from_json`]. The
+//! engine fans them across OS worker threads
+//! ([`disco_pareto::exec::fan_out`]), streams a heartbeat
 //! JSONL line per job chunk, auto-checkpoints every
 //! `checkpoint_every` cycles via [`System::snapshot`], and resumes any
 //! job whose checkpoint it finds in the output directory — so a killed
@@ -40,90 +41,30 @@
 //! tmp+rename). Dropping a `<name>.cancel` marker file stops the job at
 //! its next chunk boundary, checkpoint intact.
 
-use disco_compress::SchemeKind;
-use disco_core::{CompressionPlacement, SimBuilder, SimError, System};
-use disco_noc::{NocConfig, TopologyChoice};
+use disco_core::{SimError, System};
 use disco_pareto::exec::injection_warning;
 use disco_pareto::journal::write_atomic;
 use disco_pareto::json::{self, Json};
-use disco_workloads::Benchmark;
+use disco_pareto::RunSpec;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 
-/// One queued simulation job on the [`SimBuilder`] axes.
+/// One queued simulation job.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JobSpec {
+pub struct Job {
     /// Unique, file-safe job name (output files derive from it).
     pub name: String,
-    /// Mesh columns.
-    pub cols: usize,
-    /// Mesh rows.
-    pub rows: usize,
-    /// NoC topology.
-    pub topology: TopologyChoice,
-    /// Compression placement.
-    pub placement: CompressionPlacement,
-    /// Compression scheme.
-    pub scheme: SchemeKind,
-    /// Workload.
-    pub benchmark: Benchmark,
-    /// Accesses per core.
-    pub trace_len: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Kernel shard request (see `NocConfig::compute_shards`).
-    pub compute_shards: usize,
-    /// Cycle budget (0 = auto).
-    pub max_cycles: u64,
-    /// Uniform fault rate (0 = no fault plan).
-    pub fault_rate: f64,
-}
-
-impl JobSpec {
-    /// The simulator configuration this job describes.
-    pub fn builder(&self) -> SimBuilder {
-        let noc = NocConfig {
-            compute_shards: self.compute_shards,
-            ..NocConfig::default()
-        };
-        let builder = SimBuilder::new()
-            .mesh(self.cols, self.rows)
-            .topology(self.topology)
-            .placement(self.placement)
-            .scheme(self.scheme)
-            .benchmark(self.benchmark)
-            .trace_len(self.trace_len)
-            .seed(self.seed)
-            .max_cycles(self.max_cycles)
-            .noc(noc);
-        if self.fault_rate > 0.0 {
-            builder.faults(disco_faults::FaultPlan::uniform(
-                self.seed ^ 0xfa17,
-                self.fault_rate,
-            ))
-        } else {
-            builder
-        }
-    }
-
-    /// Rough cycle count this job will simulate: the explicit budget if
-    /// set, otherwise an empirical multiple of the trace length.
-    pub fn estimated_cycles(&self) -> u64 {
-        if self.max_cycles > 0 {
-            self.max_cycles
-        } else {
-            self.trace_len as u64 * 20
-        }
-    }
+    /// The run it simulates.
+    pub spec: RunSpec,
 }
 
 /// A parsed queue file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Jobs, in submission order.
-    pub jobs: Vec<JobSpec>,
+    pub jobs: Vec<Job>,
     /// Cycles between auto-checkpoints (and heartbeat lines).
     pub checkpoint_every: u64,
 }
@@ -135,16 +76,6 @@ pub fn injection_sites(tiles: usize) -> u64 {
     5 * tiles as u64
 }
 
-/// Largest grid side a queued job may ask for. The biggest network the
-/// repo simulates is `kernel_speed`'s 64×64 mesh.
-pub const MAX_GRID_SIDE: usize = 64;
-
-/// Largest total trace a queued job may ask for, in accesses (tiles ×
-/// `trace_len`). Traces are generated up front, so this bounds a job's
-/// memory. The biggest full-system run the repo makes is `fig8`'s 8×8
-/// mesh at the default 12 000 accesses per core (768 000).
-pub const MAX_TOTAL_ACCESSES: u64 = 1 << 22;
-
 fn job_name_ok(name: &str) -> bool {
     !name.is_empty()
         && name
@@ -152,129 +83,21 @@ fn job_name_ok(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.')
 }
 
-fn lookup<T: Copy>(
-    what: &str,
-    value: &str,
-    all: &[T],
-    name: impl Fn(T) -> &'static str,
-) -> Result<T, String> {
-    all.iter()
-        .copied()
-        .find(|&v| name(v).eq_ignore_ascii_case(value))
-        .ok_or_else(|| {
-            let names: Vec<_> = all.iter().map(|&v| name(v)).collect();
-            format!("unknown {what} {value:?} (one of: {})", names.join(", "))
-        })
-}
-
-fn parse_job(obj: &Json, index: usize) -> Result<JobSpec, String> {
-    let ctx = |field: &str| format!("jobs[{index}].{field}");
+fn parse_job(obj: &Json, index: usize) -> Result<Job, String> {
+    let path = format!("jobs[{index}]");
     let name = obj
         .get("name")
         .and_then(Json::as_str)
-        .ok_or_else(|| format!("{} missing", ctx("name")))?
+        .ok_or_else(|| format!("{path}.name missing"))?
         .to_string();
     if !job_name_ok(&name) {
         return Err(format!(
-            "{}: {name:?} is not file-safe (ascii alphanumerics, '-', '_', '.')",
-            ctx("name")
+            "{path}.name: {name:?} is not file-safe (ascii alphanumerics, '-', '_', '.')"
         ));
     }
-    let mesh = obj.get("mesh").and_then(Json::as_u64);
-    let cols = obj
-        .get("cols")
-        .and_then(Json::as_u64)
-        .or(mesh)
-        .ok_or_else(|| format!("{} (or mesh) missing", ctx("cols")))? as usize;
-    let rows = obj
-        .get("rows")
-        .and_then(Json::as_u64)
-        .or(mesh)
-        .ok_or_else(|| format!("{} (or mesh) missing", ctx("rows")))? as usize;
-    if cols < 2 || rows < 2 {
-        return Err(format!("{}: grid must be at least 2x2", ctx("mesh")));
-    }
-    if cols > MAX_GRID_SIDE || rows > MAX_GRID_SIDE {
-        return Err(format!(
-            "{}: grid {cols}x{rows} exceeds MAX_GRID_SIDE = {MAX_GRID_SIDE}",
-            ctx("mesh")
-        ));
-    }
-    let field_str = |field: &str, default: &'static str| {
-        obj.get(field)
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("{} must be a string", ctx(field)))
-            })
-            .unwrap_or_else(|| Ok(default.to_string()))
-    };
-    let topology = lookup(
-        "topology",
-        &field_str("topology", "mesh")?,
-        &TopologyChoice::ALL,
-        TopologyChoice::name,
-    )?;
-    let placement = lookup(
-        "placement",
-        &field_str("placement", "disco")?,
-        &CompressionPlacement::ALL,
-        CompressionPlacement::name,
-    )?;
-    let scheme = lookup(
-        "scheme",
-        &field_str("scheme", "Delta")?,
-        &SchemeKind::ALL,
-        SchemeKind::name,
-    )?;
-    let benchmark = lookup(
-        "benchmark",
-        &field_str("benchmark", "blackscholes")?,
-        &Benchmark::ALL,
-        Benchmark::name,
-    )?;
-    let trace_len = obj
-        .get("trace_len")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{} missing", ctx("trace_len")))?;
-    if trace_len == 0 {
-        return Err(format!("{} must be positive", ctx("trace_len")));
-    }
-    let accesses = ((cols * rows) as u64).saturating_mul(trace_len);
-    if accesses > MAX_TOTAL_ACCESSES {
-        return Err(format!(
-            "{}: {cols}x{rows} tiles x {trace_len} accesses exceeds \
-             MAX_TOTAL_ACCESSES = {MAX_TOTAL_ACCESSES}",
-            ctx("trace_len")
-        ));
-    }
-    let trace_len = trace_len as usize;
-    let seed = obj.get("seed").and_then(Json::as_u64).unwrap_or(1);
-    let compute_shards = obj
-        .get("compute_shards")
-        .and_then(Json::as_u64)
-        .unwrap_or(1) as usize;
-    let max_cycles = obj.get("max_cycles").and_then(Json::as_u64).unwrap_or(0);
-    let fault_rate = obj.get("fault_rate").and_then(Json::as_f64).unwrap_or(0.0);
-    if fault_rate < 0.0 || !fault_rate.is_finite() {
-        return Err(format!(
-            "{} must be finite and non-negative",
-            ctx("fault_rate")
-        ));
-    }
-    Ok(JobSpec {
+    Ok(Job {
         name,
-        cols,
-        rows,
-        topology,
-        placement,
-        scheme,
-        benchmark,
-        trace_len,
-        seed,
-        compute_shards,
-        max_cycles,
-        fault_rate,
+        spec: RunSpec::from_json(obj, &path)?,
     })
 }
 
@@ -299,17 +122,14 @@ pub fn parse_queue(text: &str) -> Result<(ServeConfig, Vec<String>), String> {
     let mut warnings = Vec::new();
     for (i, j) in jobs_json.iter().enumerate() {
         let job = parse_job(j, i)?;
-        if jobs
-            .iter()
-            .any(|existing: &JobSpec| existing.name == job.name)
-        {
+        if jobs.iter().any(|existing: &Job| existing.name == job.name) {
             return Err(format!("duplicate job name {:?}", job.name));
         }
         if let Some(w) = injection_warning(
             &job.name,
-            job.fault_rate,
-            job.estimated_cycles(),
-            injection_sites(job.cols * job.rows),
+            job.spec.fault_rate,
+            job.spec.estimated_cycles(),
+            injection_sites(job.spec.cols * job.spec.rows),
         ) {
             warnings.push(w);
         }
@@ -408,9 +228,10 @@ impl JobFiles {
 /// Runs one job: resume from its checkpoint if one exists, step in
 /// `checkpoint_every`-cycle chunks, checkpoint after each, finish with
 /// an atomically-written stats file. `resumed` is set when the job
-/// continued from a checkpoint.
+/// continued from a checkpoint. A checkpoint of a different run (the
+/// queue entry was edited after the kill) fails the job.
 fn run_job(
-    job: &JobSpec,
+    job: &Job,
     files: &JobFiles,
     checkpoint_every: u64,
     budget: &AtomicI64,
@@ -419,7 +240,7 @@ fn run_job(
     if files.stats.exists() {
         return JobOutcome::AlreadyDone;
     }
-    let builder = job.builder();
+    let builder = job.spec.builder();
     let mut sys = match fs::read(&files.checkpoint) {
         Ok(bytes) => match System::restore_with(&bytes, &builder) {
             Ok(sys) => {
@@ -533,6 +354,7 @@ pub fn serve(cfg: &ServeConfig, opts: &ServeOpts) -> Result<ServeSummary, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disco_core::CompressionPlacement;
 
     fn queue_text() -> &'static str {
         r#"{
@@ -552,8 +374,8 @@ mod tests {
         assert_eq!(cfg.checkpoint_every, 500);
         assert_eq!(cfg.jobs.len(), 2);
         assert_eq!(cfg.jobs[0].name, "a");
-        assert_eq!(cfg.jobs[0].placement, CompressionPlacement::Disco);
-        assert_eq!(cfg.jobs[1].placement, CompressionPlacement::Baseline);
+        assert_eq!(cfg.jobs[0].spec.placement, CompressionPlacement::Disco);
+        assert_eq!(cfg.jobs[1].spec.placement, CompressionPlacement::Baseline);
         assert!(warnings.is_empty());
     }
 

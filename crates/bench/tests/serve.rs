@@ -158,6 +158,36 @@ fn killed_and_resumed_queue_matches_uninterrupted_run() {
     assert!(String::from_utf8_lossy(&idem.stdout).contains("4 already done"));
 }
 
+/// A queue edited between the kill and the rerun describes another
+/// simulation. The checkpoint must be refused, not resumed as the new
+/// job: the job fails and no stats file appears.
+#[test]
+fn edited_job_does_not_resume_the_old_checkpoint() {
+    let dirs = Dirs::new("edited");
+    let queue = dirs.root.join("jobs.json");
+    let job = |extra: &str| {
+        format!(
+            r#"{{"checkpoint_every": 300, "jobs": [{{"name": "j", "mesh": 4,
+                "placement": "disco", "benchmark": {extra},
+                "trace_len": 800, "seed": 2016}}]}}"#
+        )
+    };
+    let out_dir = dirs.out("out");
+    fs::write(&queue, job(r#""dedup""#)).expect("queue file");
+    let killed = run_serve(&queue, &out_dir, &["--max-chunks", "2"]);
+    assert_eq!(killed.status.code(), Some(3), "{killed:?}");
+    assert!(out_dir.join("j.ckpt").exists());
+
+    fs::write(&queue, job(r#""canneal", "fault_rate": 0.001"#)).expect("edited queue");
+    let rerun = run_serve(&queue, &out_dir, &[]);
+    assert_eq!(rerun.status.code(), Some(1), "{rerun:?}");
+    assert!(String::from_utf8_lossy(&rerun.stdout).contains("1 failed"));
+    assert!(
+        !out_dir.join("j.stats").exists(),
+        "the edited job resumed the old checkpoint"
+    );
+}
+
 #[test]
 fn parallel_workers_match_serial_stats() {
     let dirs = Dirs::new("threads");

@@ -5,8 +5,9 @@
 //! limits; none may panic. Deterministic: a fixed-seed local PRNG, no
 //! dependencies.
 
-use disco_bench::serve::{parse_queue, MAX_GRID_SIDE, MAX_TOTAL_ACCESSES};
+use disco_bench::serve::parse_queue;
 use disco_pareto::json::{parse_flat_object, Json};
+use disco_pareto::spec::{MAX_GRID_SIDE, MAX_TOTAL_ACCESSES};
 use disco_pareto::JournalEntry;
 
 /// xorshift64* — enough randomness to pick bytes and bits.
@@ -118,15 +119,15 @@ fn mutated_queues_are_rejected_or_valid() {
         assert!(cfg.checkpoint_every >= 1 && !cfg.jobs.is_empty());
         for job in &cfg.jobs {
             assert!(!job.name.is_empty(), "{text}");
-            assert!((2..=MAX_GRID_SIDE).contains(&job.cols), "{text}");
-            assert!((2..=MAX_GRID_SIDE).contains(&job.rows), "{text}");
-            let accesses = (job.cols * job.rows) as u64 * job.trace_len as u64;
+            assert!((2..=MAX_GRID_SIDE).contains(&job.spec.cols), "{text}");
+            assert!((2..=MAX_GRID_SIDE).contains(&job.spec.rows), "{text}");
+            let accesses = (job.spec.cols * job.spec.rows) as u64 * job.spec.trace_len as u64;
             assert!(
-                job.trace_len > 0 && accesses <= MAX_TOTAL_ACCESSES,
+                job.spec.trace_len > 0 && accesses <= MAX_TOTAL_ACCESSES,
                 "{text}"
             );
             assert!(
-                job.fault_rate.is_finite() && job.fault_rate >= 0.0,
+                job.spec.fault_rate.is_finite() && job.spec.fault_rate >= 0.0,
                 "{text}"
             );
         }

@@ -134,29 +134,3 @@ mod tests {
         assert_eq!(c.tag_slots(), 16);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Checkpointing (see crates/snapshot/manifest.txt)
-// ---------------------------------------------------------------------------
-
-disco_snapshot::snap_fields!(L1Config {
-    capacity_bytes,
-    assoc,
-    replacement,
-});
-
-disco_snapshot::snap_fields!(BankConfig {
-    capacity_bytes,
-    assoc,
-    hit_latency,
-    compressed,
-    replacement,
-});
-
-disco_snapshot::snap_fields!(DramConfig {
-    banks,
-    access_latency,
-    row_hit_latency,
-    row_lines,
-    bank_busy,
-});

@@ -7,7 +7,9 @@ use disco_cache::coherence::DirStats;
 use disco_cache::{BankStats, L1Stats};
 use disco_compress::{CompressionStats, SchemeKind};
 use disco_energy::{EnergyBreakdown, EnergyCounts, EnergyModel, EnergyReport};
+use disco_faults::FaultStats;
 use disco_noc::NetworkStats;
+use disco_trace::ProvenanceTotals;
 
 /// Trace capture attached to a report when the run opted into tracing
 /// (see [`SimBuilder::capture_trace`](crate::SimBuilder::capture_trace)).
@@ -118,6 +120,9 @@ impl SimReport {
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_stats<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
+        // The counter structs are destructured without `..`: a new
+        // counter does not compile until it is written here or waived
+        // with `_` (and a note on which key already carries it).
         writeln!(w, "config.placement = {}", self.placement.name())?;
         writeln!(w, "config.scheme = {}", self.scheme.name())?;
         writeln!(w, "sim.cycles = {}", self.cycles)?;
@@ -157,48 +162,40 @@ impl SimReport {
         writeln!(w, "llc.miss_rate = {:.4}", self.banks.miss_rate())?;
         writeln!(w, "llc.evictions = {}", self.banks.evictions)?;
         writeln!(w, "llc.bytes_accessed = {}", self.banks.bytes_accessed)?;
-        writeln!(w, "noc.cycles = {}", self.network.cycles)?;
-        writeln!(
-            w,
-            "noc.packets_injected = {}",
-            self.network.packets_injected
-        )?;
-        writeln!(
-            w,
-            "noc.packets_delivered = {}",
-            self.network.packets_delivered
-        )?;
-        writeln!(w, "noc.link_flits = {}", self.network.link_flits)?;
-        writeln!(
-            w,
-            "noc.express_link_flits = {}",
-            self.network.express_link_flits
-        )?;
-        writeln!(w, "noc.buffer_writes = {}", self.network.buffer_writes)?;
-        writeln!(w, "noc.buffer_reads = {}", self.network.buffer_reads)?;
-        writeln!(w, "noc.crossbar_flits = {}", self.network.crossbar_flits)?;
-        writeln!(w, "noc.arbitrations = {}", self.network.arbitrations)?;
-        writeln!(
-            w,
-            "noc.avg_packet_latency = {:.4}",
-            self.network.avg_packet_latency()
-        )?;
-        writeln!(
-            w,
-            "noc.total_packet_latency = {}",
-            self.network.total_packet_latency
-        )?;
+        let NetworkStats {
+            cycles,
+            packets_injected,
+            packets_delivered,
+            link_flits,
+            express_link_flits,
+            buffer_writes,
+            buffer_reads,
+            crossbar_flits,
+            arbitrations,
+            sa_losses,
+            total_packet_latency,
+            total_hops,
+            delivered_by_class: [dreq, dresp, dcoh],
+            latency_by_class: [lreq, lresp, lcoh],
+            routing_violations,
+        } = self.network;
+        writeln!(w, "noc.cycles = {cycles}")?;
+        writeln!(w, "noc.packets_injected = {packets_injected}")?;
+        writeln!(w, "noc.packets_delivered = {packets_delivered}")?;
+        writeln!(w, "noc.link_flits = {link_flits}")?;
+        writeln!(w, "noc.express_link_flits = {express_link_flits}")?;
+        writeln!(w, "noc.buffer_writes = {buffer_writes}")?;
+        writeln!(w, "noc.buffer_reads = {buffer_reads}")?;
+        writeln!(w, "noc.crossbar_flits = {crossbar_flits}")?;
+        writeln!(w, "noc.arbitrations = {arbitrations}")?;
+        let avg_latency = self.network.avg_packet_latency();
+        writeln!(w, "noc.avg_packet_latency = {avg_latency:.4}")?;
+        writeln!(w, "noc.total_packet_latency = {total_packet_latency}")?;
         writeln!(w, "noc.avg_hops = {:.4}", self.network.avg_hops())?;
-        writeln!(w, "noc.total_hops = {}", self.network.total_hops)?;
-        writeln!(w, "noc.sa_losses = {}", self.network.sa_losses)?;
-        writeln!(
-            w,
-            "noc.routing_violations = {}",
-            self.network.routing_violations
-        )?;
-        let [dreq, dresp, dcoh] = self.network.delivered_by_class;
+        writeln!(w, "noc.total_hops = {total_hops}")?;
+        writeln!(w, "noc.sa_losses = {sa_losses}")?;
+        writeln!(w, "noc.routing_violations = {routing_violations}")?;
         writeln!(w, "noc.delivered_by_class = {dreq} {dresp} {dcoh}")?;
-        let [lreq, lresp, lcoh] = self.network.latency_by_class;
         writeln!(w, "noc.latency_by_class = {lreq} {lresp} {lcoh}")?;
         writeln!(w, "dram.reads = {}", self.dram.reads)?;
         writeln!(w, "dram.writes = {}", self.dram.writes)?;
@@ -210,101 +207,133 @@ impl SimReport {
             self.compression.mean_ratio()
         )?;
         let er = self.energy_report();
+        let EnergyBreakdown {
+            noc_dynamic_pj,
+            noc_static_pj,
+            cache_dynamic_pj,
+            cache_static_pj,
+            compressor_pj,
+        } = er.breakdown;
         writeln!(w, "energy.total_pj = {:.1}", er.total_pj())?;
-        writeln!(
-            w,
-            "energy.noc_dynamic_pj = {:.1}",
-            er.breakdown.noc_dynamic_pj
-        )?;
-        writeln!(
-            w,
-            "energy.noc_static_pj = {:.1}",
-            er.breakdown.noc_static_pj
-        )?;
-        writeln!(
-            w,
-            "energy.cache_dynamic_pj = {:.1}",
-            er.breakdown.cache_dynamic_pj
-        )?;
-        writeln!(
-            w,
-            "energy.cache_static_pj = {:.1}",
-            er.breakdown.cache_static_pj
-        )?;
-        writeln!(
-            w,
-            "energy.compressor_pj = {:.1}",
-            er.breakdown.compressor_pj
-        )?;
+        writeln!(w, "energy.noc_dynamic_pj = {noc_dynamic_pj:.1}")?;
+        writeln!(w, "energy.noc_static_pj = {noc_static_pj:.1}")?;
+        writeln!(w, "energy.cache_dynamic_pj = {cache_dynamic_pj:.1}")?;
+        writeln!(w, "energy.cache_static_pj = {cache_static_pj:.1}")?;
+        writeln!(w, "energy.compressor_pj = {compressor_pj:.1}")?;
         writeln!(w, "energy.pj_per_cycle = {:.4}", er.pj_per_cycle())?;
-        writeln!(w, "energy.routers = {}", er.counts.routers)?;
-        writeln!(
-            w,
-            "energy.compressor_sites = {}",
-            er.counts.compressor_sites
-        )?;
-        writeln!(w, "energy.bank_accesses = {}", er.counts.bank_accesses)?;
-        writeln!(w, "energy.bank_bytes = {}", er.counts.bank_bytes)?;
-        writeln!(w, "energy.express_flits = {}", er.counts.express_flits)?;
-        if let Some(d) = &self.disco {
-            writeln!(w, "disco.started = {}", d.started)?;
-            writeln!(w, "disco.compressions = {}", d.compressions)?;
-            writeln!(w, "disco.queue_compressions = {}", d.queue_compressions)?;
-            writeln!(w, "disco.decompressions = {}", d.decompressions)?;
-            writeln!(w, "disco.aborts = {}", d.aborts)?;
-            writeln!(w, "disco.incompressible = {}", d.incompressible)?;
-            writeln!(w, "disco.growth_stalls = {}", d.growth_stalls)?;
-            writeln!(w, "disco.low_confidence = {}", d.low_confidence)?;
-            writeln!(w, "disco.flits_saved = {}", d.flits_saved)?;
+        let EnergyCounts {
+            cycles: _, // sim.cycles
+            routers,
+            banks: _, // energy.routers (one bank per tile)
+            compressor_sites,
+            buffer_writes: _,  // noc.buffer_writes
+            buffer_reads: _,   // noc.buffer_reads
+            crossbar_flits: _, // noc.crossbar_flits
+            arbitrations: _,   // noc.arbitrations
+            link_flits: _,     // noc.link_flits
+            express_flits,
+            bank_accesses,
+            bank_bytes,
+            // Not in the stats file: the codec event counts priced into
+            // energy.compressor_pj (disco.compressions counts only the
+            // in-network engines).
+            compressions: _,
+            decompressions: _,
+        } = er.counts;
+        writeln!(w, "energy.routers = {routers}")?;
+        writeln!(w, "energy.compressor_sites = {compressor_sites}")?;
+        writeln!(w, "energy.bank_accesses = {bank_accesses}")?;
+        writeln!(w, "energy.bank_bytes = {bank_bytes}")?;
+        writeln!(w, "energy.express_flits = {express_flits}")?;
+        if let Some(DiscoStats {
+            started,
+            compressions,
+            decompressions,
+            aborts,
+            incompressible,
+            growth_stalls,
+            low_confidence,
+            flits_saved,
+            queue_compressions,
+        }) = self.disco
+        {
+            writeln!(w, "disco.started = {started}")?;
+            writeln!(w, "disco.compressions = {compressions}")?;
+            writeln!(w, "disco.queue_compressions = {queue_compressions}")?;
+            writeln!(w, "disco.decompressions = {decompressions}")?;
+            writeln!(w, "disco.aborts = {aborts}")?;
+            writeln!(w, "disco.incompressible = {incompressible}")?;
+            writeln!(w, "disco.growth_stalls = {growth_stalls}")?;
+            writeln!(w, "disco.low_confidence = {low_confidence}")?;
+            writeln!(w, "disco.flits_saved = {flits_saved}")?;
         }
         // Fault keys appear only when the run armed an active plan, so
         // golden stats are identical whether or not a run could have.
-        if let Some(f) = &self.faults {
-            writeln!(w, "faults.injected = {}", f.injected)?;
-            writeln!(w, "faults.detected = {}", f.detected)?;
-            writeln!(w, "faults.recovered = {}", f.recovered)?;
-            writeln!(w, "faults.unrecoverable = {}", f.unrecoverable)?;
-            writeln!(w, "faults.retries = {}", f.retries)?;
-            writeln!(w, "faults.fallback_deliveries = {}", f.fallback_deliveries)?;
-            writeln!(w, "faults.undetected = {}", f.undetected)?;
-            writeln!(w, "faults.link_drops = {}", f.link_drops)?;
-            writeln!(w, "faults.payload_bit_flips = {}", f.payload_bit_flips)?;
-            writeln!(w, "faults.codec_corruptions = {}", f.codec_corruptions)?;
-            writeln!(w, "faults.port_stall_cycles = {}", f.port_stall_cycles)?;
-            writeln!(w, "faults.dram_stall_cycles = {}", f.dram_stall_cycles)?;
+        if let Some(FaultStats {
+            injected,
+            detected,
+            recovered,
+            unrecoverable,
+            retries,
+            fallback_deliveries,
+            undetected,
+            link_drops,
+            payload_bit_flips,
+            codec_corruptions,
+            port_stall_cycles,
+            dram_stall_cycles,
+        }) = self.faults
+        {
+            writeln!(w, "faults.injected = {injected}")?;
+            writeln!(w, "faults.detected = {detected}")?;
+            writeln!(w, "faults.recovered = {recovered}")?;
+            writeln!(w, "faults.unrecoverable = {unrecoverable}")?;
+            writeln!(w, "faults.retries = {retries}")?;
+            writeln!(w, "faults.fallback_deliveries = {fallback_deliveries}")?;
+            writeln!(w, "faults.undetected = {undetected}")?;
+            writeln!(w, "faults.link_drops = {link_drops}")?;
+            writeln!(w, "faults.payload_bit_flips = {payload_bit_flips}")?;
+            writeln!(w, "faults.codec_corruptions = {codec_corruptions}")?;
+            writeln!(w, "faults.port_stall_cycles = {port_stall_cycles}")?;
+            writeln!(w, "faults.dram_stall_cycles = {dram_stall_cycles}")?;
         }
         // Provenance keys appear only when the run captured a trace, so
         // an untraced run's stats match the golden file.
         if let Some(t) = &self.trace {
-            let p = &t.provenance.totals;
+            let ProvenanceTotals {
+                packets,
+                incomplete,
+                latency_cycles,
+                serialization_cycles,
+                link_cycles,
+                queuing_cycles,
+                codec_cycles,
+                protocol_cycles,
+                codec_hidden_cycles,
+                codec_exposed_cycles,
+                endpoint_codec_cycles,
+            } = t.provenance.totals;
             writeln!(w, "trace.events = {}", t.events)?;
             writeln!(w, "trace.dropped = {}", t.dropped)?;
-            writeln!(w, "provenance.packets = {}", p.packets)?;
-            writeln!(w, "provenance.incomplete = {}", p.incomplete)?;
-            writeln!(w, "provenance.latency_cycles = {}", p.latency_cycles)?;
-            writeln!(w, "provenance.protocol_cycles = {}", p.protocol_cycles)?;
+            writeln!(w, "provenance.packets = {packets}")?;
+            writeln!(w, "provenance.incomplete = {incomplete}")?;
+            writeln!(w, "provenance.latency_cycles = {latency_cycles}")?;
+            writeln!(w, "provenance.protocol_cycles = {protocol_cycles}")?;
             writeln!(
                 w,
-                "provenance.serialization_cycles = {}",
-                p.serialization_cycles
+                "provenance.serialization_cycles = {serialization_cycles}"
             )?;
-            writeln!(w, "provenance.link_cycles = {}", p.link_cycles)?;
-            writeln!(w, "provenance.queuing_cycles = {}", p.queuing_cycles)?;
-            writeln!(w, "provenance.codec_cycles = {}", p.codec_cycles)?;
+            writeln!(w, "provenance.link_cycles = {link_cycles}")?;
+            writeln!(w, "provenance.queuing_cycles = {queuing_cycles}")?;
+            writeln!(w, "provenance.codec_cycles = {codec_cycles}")?;
+            writeln!(w, "provenance.codec_hidden_cycles = {codec_hidden_cycles}")?;
             writeln!(
                 w,
-                "provenance.codec_hidden_cycles = {}",
-                p.codec_hidden_cycles
-            )?;
-            writeln!(
-                w,
-                "provenance.codec_exposed_cycles = {}",
-                p.codec_exposed_cycles
+                "provenance.codec_exposed_cycles = {codec_exposed_cycles}"
             )?;
             writeln!(
                 w,
-                "provenance.endpoint_codec_cycles = {}",
-                p.endpoint_codec_cycles
+                "provenance.endpoint_codec_cycles = {endpoint_codec_cycles}"
             )?;
             writeln!(
                 w,

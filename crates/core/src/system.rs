@@ -141,6 +141,9 @@ impl From<disco_snapshot::SnapError> for SimError {
 /// Per-core issue width (accesses a core may process per cycle).
 const ISSUE_WIDTH: usize = 4;
 
+/// MSHR entries per core (Table 2).
+const MSHR_ENTRIES: usize = 8;
+
 /// One tile's core-side state.
 #[derive(Debug)]
 struct Tile {
@@ -242,7 +245,6 @@ pub struct System {
     fill_penalty: HashMap<(usize, u64), u64>,
     compression: CompressionStats,
     codec_ops: CodecOps,
-    energy_model: EnergyModel,
     banks_total: usize,
     prefetch_next_line: bool,
     /// The configuration this system was built from; embedded in every
@@ -1157,7 +1159,7 @@ impl System {
             decompressions: self.codec_ops.decompressions
                 + disco_stats.map_or(0, |d| d.decompressions),
         };
-        let energy = self.energy_model.evaluate(&energy_counts);
+        let energy = EnergyModel::default().evaluate(&energy_counts);
         SimReport {
             placement: self.placement,
             scheme: self.scheme,
@@ -1209,15 +1211,9 @@ pub struct SimBuilder {
     profile: WorkloadProfile,
     trace_len: usize,
     seed: u64,
-    mshr_entries: usize,
     noc: NocConfig,
-    l1: L1Config,
-    bank: BankConfig,
-    dram: DramConfig,
     disco: DiscoParams,
-    energy: EnergyModel,
     max_cycles: u64,
-    scale_profile: bool,
     demote_override: Option<bool>,
     external_traces: Option<Vec<Vec<MemAccess>>>,
     prefetch_next_line: bool,
@@ -1245,15 +1241,9 @@ impl SimBuilder {
             profile: Benchmark::Blackscholes.profile(),
             trace_len: 10_000,
             seed: 1,
-            mshr_entries: 8,
             noc: NocConfig::default(),
-            l1: L1Config::default(),
-            bank: BankConfig::default(),
-            dram: DramConfig::default(),
             disco: DiscoParams::default(),
-            energy: EnergyModel::default(),
             max_cycles: 0, // auto
-            scale_profile: true,
             demote_override: None,
             external_traces: None,
             prefetch_next_line: false,
@@ -1318,12 +1308,6 @@ impl SimBuilder {
         self
     }
 
-    /// MSHR entries per core.
-    pub fn mshr_entries(mut self, n: usize) -> Self {
-        self.mshr_entries = n;
-        self
-    }
-
     /// NoC parameters.
     pub fn noc(mut self, noc: NocConfig) -> Self {
         self.noc = noc;
@@ -1337,34 +1321,15 @@ impl SimBuilder {
         self
     }
 
-    /// Bank parameters (the `compressed` flag is overridden by the
-    /// placement).
-    pub fn bank(mut self, bank: BankConfig) -> Self {
-        self.bank = bank;
-        self
-    }
-
     /// DISCO arbitrator parameters.
     pub fn disco_params(mut self, params: DiscoParams) -> Self {
         self.disco = params;
         self
     }
 
-    /// Energy model.
-    pub fn energy_model(mut self, model: EnergyModel) -> Self {
-        self.energy = model;
-        self
-    }
-
     /// Cycle budget (0 = auto: generous multiple of the trace length).
     pub fn max_cycles(mut self, cycles: u64) -> Self {
         self.max_cycles = cycles;
-        self
-    }
-
-    /// Whether to scale the working set with the core count (Fig. 8).
-    pub fn scale_profile(mut self, scale: bool) -> Self {
-        self.scale_profile = scale;
         self
     }
 
@@ -1451,11 +1416,7 @@ impl SimBuilder {
         if self.capture_trace {
             net.set_trace_capacity(disco_trace::DEFAULT_CAPACITY);
         }
-        let profile = if self.scale_profile {
-            self.profile.scaled_to(tiles_n)
-        } else {
-            self.profile
-        };
+        let profile = self.profile.scaled_to(tiles_n);
         // SC² is a *statistical* codec: train its value frequency table on
         // a sample of the workload's lines, as the hardware samples cache
         // contents (Arelakis & Stenström). Other codecs are stateless.
@@ -1468,7 +1429,7 @@ impl SimBuilder {
         };
         // The fault context needs the trained codec for its
         // decompress-and-verify checks, so it is armed only now.
-        let mut dram = Dram::new(self.dram);
+        let mut dram = Dram::new(DramConfig::default());
         dram.set_tracing(self.capture_trace);
         if let Some(plan) = &self.fault_plan {
             net.set_fault_plan(plan.clone(), codec.clone());
@@ -1491,8 +1452,8 @@ impl SimBuilder {
             .map(|trace| {
                 let next = trace.first().map_or(0, |a| a.gap);
                 Tile {
-                    l1: L1Cache::new(self.l1),
-                    mshr: MshrFile::new(self.mshr_entries),
+                    l1: L1Cache::new(L1Config::default()),
+                    mshr: MshrFile::new(MSHR_ENTRIES),
                     trace,
                     pos: 0,
                     next_issue_at: next,
@@ -1502,7 +1463,7 @@ impl SimBuilder {
             .collect();
         let bank_cfg = BankConfig {
             compressed: self.placement.compressed_storage(),
-            ..self.bank
+            ..BankConfig::default()
         };
         let banks = (0..tiles_n)
             .map(|i| {
@@ -1547,7 +1508,6 @@ impl SimBuilder {
             fill_penalty: HashMap::new(),
             compression: CompressionStats::new(),
             codec_ops: CodecOps::default(),
-            energy_model: self.energy,
             banks_total: tiles_n,
             prefetch_next_line: self.prefetch_next_line,
             builder: this,
@@ -1700,15 +1660,9 @@ impl Snap for SimBuilder {
         w.put(&self.profile);
         w.put(&self.trace_len);
         w.put(&self.seed);
-        w.put(&self.mshr_entries);
         w.put(&self.noc);
-        w.put(&self.l1);
-        w.put(&self.bank);
-        w.put(&self.dram);
         w.put(&self.disco);
-        w.put(&self.energy);
         w.put(&self.max_cycles);
-        w.put(&self.scale_profile);
         w.put(&self.demote_override);
         w.put(&self.external_traces);
         w.put(&self.prefetch_next_line);
@@ -1727,15 +1681,9 @@ impl Snap for SimBuilder {
             profile: r.take()?,
             trace_len: r.take()?,
             seed: r.take()?,
-            mshr_entries: r.take()?,
             noc: r.take()?,
-            l1: r.take()?,
-            bank: r.take()?,
-            dram: r.take()?,
             disco: r.take()?,
-            energy: r.take()?,
             max_cycles: r.take()?,
-            scale_profile: r.take()?,
             demote_override: r.take()?,
             external_traces: r.take()?,
             prefetch_next_line: r.take()?,
@@ -1747,9 +1695,11 @@ impl Snap for SimBuilder {
 }
 
 impl SimBuilder {
-    /// Compares the run-defining axes of a snapshot's embedded builder
-    /// (`self`) against the configuration a caller asked to restore
-    /// into. Sharding and budget knobs are excluded — those may differ.
+    /// Compares a snapshot's embedded builder (`self`) against the
+    /// configuration a caller asked to restore into, field by field. The
+    /// destructuring is exhaustive, so a new builder field does not
+    /// compile until it is compared here or waived. Only the shard count
+    /// and the cycle budget may differ: neither changes what is simulated.
     fn check_matches(&self, requested: &SimBuilder) -> Result<(), SimError> {
         fn diff<T: PartialEq + fmt::Debug>(
             field: &'static str,
@@ -1766,14 +1716,68 @@ impl SimBuilder {
                 })
             }
         }
-        diff("cols", &self.cols, &requested.cols)?;
-        diff("rows", &self.rows, &requested.rows)?;
-        diff("topology", &self.topology, &requested.topology)?;
-        diff("placement", &self.placement, &requested.placement)?;
-        diff("scheme", &self.scheme, &requested.scheme)?;
-        diff("seed", &self.seed, &requested.seed)?;
-        diff("trace_len", &self.trace_len, &requested.trace_len)?;
-        Ok(())
+        let SimBuilder {
+            cols,
+            rows,
+            topology,
+            placement,
+            scheme,
+            profile,
+            trace_len,
+            seed,
+            noc,
+            disco,
+            max_cycles: _,
+            demote_override,
+            external_traces,
+            prefetch_next_line,
+            fault_plan,
+            capture_trace,
+            retain_trace_records,
+        } = self;
+        let unsharded = |noc: &NocConfig| NocConfig {
+            compute_shards: 0,
+            ..*noc
+        };
+        diff("cols", cols, &requested.cols)?;
+        diff("rows", rows, &requested.rows)?;
+        diff("topology", topology, &requested.topology)?;
+        diff("placement", placement, &requested.placement)?;
+        diff("scheme", scheme, &requested.scheme)?;
+        diff("profile", profile, &requested.profile)?;
+        diff("trace_len", trace_len, &requested.trace_len)?;
+        diff("seed", seed, &requested.seed)?;
+        diff("noc", &unsharded(noc), &unsharded(&requested.noc))?;
+        diff("disco", disco, &requested.disco)?;
+        diff(
+            "demote_override",
+            demote_override,
+            &requested.demote_override,
+        )?;
+        // Traces are compared whole but reported by their lengths.
+        if *external_traces != requested.external_traces {
+            let lengths = |t: &Option<Vec<Vec<MemAccess>>>| {
+                t.as_ref()
+                    .map(|t| t.iter().map(Vec::len).collect::<Vec<_>>())
+            };
+            return Err(SimError::SnapshotConfigMismatch {
+                field: "external_traces",
+                snapshot: format!("{:?}", lengths(external_traces)),
+                requested: format!("{:?}", lengths(&requested.external_traces)),
+            });
+        }
+        diff(
+            "prefetch_next_line",
+            prefetch_next_line,
+            &requested.prefetch_next_line,
+        )?;
+        diff("fault_plan", fault_plan, &requested.fault_plan)?;
+        diff("capture_trace", capture_trace, &requested.capture_trace)?;
+        diff(
+            "retain_trace_records",
+            retain_trace_records,
+            &requested.retain_trace_records,
+        )
     }
 }
 
@@ -1807,9 +1811,9 @@ impl System {
     }
 
     /// Like [`System::restore`], but first verifies the snapshot's
-    /// embedded configuration matches `requested` on every run-defining
-    /// axis (topology, placement, scheme, seed, trace length), so a job
-    /// runner cannot silently resume the wrong simulation.
+    /// embedded configuration matches `requested` on every builder field
+    /// except the shard count and the cycle budget, so a job runner
+    /// cannot silently resume the wrong simulation.
     ///
     /// # Errors
     ///
@@ -2002,9 +2006,9 @@ mod tests {
     fn builder_defaults_match_table2() {
         let b = SimBuilder::new();
         assert_eq!(b.cols * b.rows, 16);
-        assert_eq!(b.mshr_entries, 8);
+        assert_eq!(MSHR_ENTRIES, 8);
         assert_eq!(b.noc.vcs, 2);
-        assert_eq!(b.bank.assoc, 8);
+        assert_eq!(BankConfig::default().assoc, 8);
         assert_eq!(b.scheme, SchemeKind::Delta);
     }
 

@@ -231,19 +231,3 @@ mod tests {
         assert_eq!(m.evaluate(&EnergyCounts::default()).total_pj(), 0.0);
     }
 }
-
-disco_snapshot::snap_fields!(EnergyModel {
-    buffer_write_pj,
-    buffer_read_pj,
-    crossbar_pj,
-    arbiter_pj,
-    link_pj,
-    express_link_pj,
-    bank_access_pj,
-    bank_byte_pj,
-    compress_pj,
-    decompress_pj,
-    router_static_pj,
-    bank_static_pj,
-    compressor_static_pj,
-});

@@ -10,15 +10,15 @@
 
 use std::path::PathBuf;
 
-use disco_core::{CompressionPlacement, SimBuilder};
+use disco_core::CompressionPlacement;
 use disco_energy::AreaModel;
-use disco_noc::NocConfig;
 
 use crate::exec::{fan_out, oversubscription_warning, run_point_checked};
 use crate::frontier::{self, Frontier};
 use crate::journal::{Journal, JournalEntry};
 use crate::json::json_escape;
-use crate::space::{DesignPoint, DesignSpace};
+use crate::space::DesignSpace;
+use crate::spec::RunSpec;
 
 /// One exploration request.
 #[derive(Debug, Clone)]
@@ -102,9 +102,9 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
         warnings.push(w);
     }
 
-    let mut pending: Vec<&DesignPoint> = points
-        .iter()
-        .filter(|p| !done.contains_key(&p.id))
+    let mut pending: Vec<(u64, &RunSpec)> = (0u64..)
+        .zip(&points)
+        .filter(|(id, _)| !done.contains_key(id))
         .collect();
     if cfg.max_points > 0 {
         pending.truncate(cfg.max_points);
@@ -112,7 +112,9 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
 
     let mut completed = 0;
     for chunk in pending.chunks(CHUNK.max(cfg.workers)) {
-        let entries = fan_out(chunk, cfg.workers, |p| run_point(&cfg.space, p, cfg.shards));
+        let entries = fan_out(chunk, cfg.workers, |&(id, spec)| {
+            run_point(id, spec, cfg.shards)
+        });
         if let Some(j) = &journal {
             j.append(&entries);
         }
@@ -144,26 +146,15 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
 
 /// Simulates one point: the serial reference run, optionally re-run
 /// sharded for the divergence check, then objectives + energy breakdown.
-fn run_point(space: &DesignSpace, point: &DesignPoint, shards: usize) -> JournalEntry {
+fn run_point(id: u64, spec: &RunSpec, shards: usize) -> JournalEntry {
     let run = |compute_shards: usize| {
-        let noc = NocConfig {
-            vcs: point.vcs,
-            buffer_depth: point.buffer_depth,
+        let report = RunSpec {
             compute_shards,
-            ..NocConfig::default()
-        };
-        let report = SimBuilder::new()
-            .mesh(space.cols, space.rows)
-            .topology(point.topology)
-            .placement(point.placement)
-            .scheme(point.scheme)
-            .benchmark(point.benchmark)
-            .trace_len(space.trace_len)
-            .seed(space.seed)
-            .disco_params(point.disco_params())
-            .noc(noc)
-            .run()
-            .unwrap_or_else(|e| panic!("point {} ({}) failed: {e:?}", point.id, point.label()));
+            ..*spec
+        }
+        .builder()
+        .run()
+        .unwrap_or_else(|e| panic!("point {id} ({spec:?}) failed: {e:?}"));
         let mut stats = Vec::new();
         report.write_stats(&mut stats).expect("in-memory write");
         (report, stats)
@@ -178,10 +169,10 @@ fn run_point(space: &DesignSpace, point: &DesignPoint, shards: usize) -> Journal
 
     let er = report.energy_report();
     JournalEntry {
-        id: point.id,
+        id,
         latency: report.avg_onchip_latency(),
         pj_per_cycle: er.pj_per_cycle(),
-        area_mm2: added_area(space, point),
+        area_mm2: added_area(spec),
         noc_dynamic_pj: er.breakdown.noc_dynamic_pj,
         noc_static_pj: er.breakdown.noc_static_pj,
         cache_dynamic_pj: er.breakdown.cache_dynamic_pj,
@@ -194,16 +185,16 @@ fn run_point(space: &DesignSpace, point: &DesignPoint, shards: usize) -> Journal
 /// Silicon this point adds over the uncompressed plain-mesh baseline:
 /// compression hardware per the placement's §4.3 cost, plus the
 /// express-channel overlay when the topology has long-range links.
-fn added_area(space: &DesignSpace, point: &DesignPoint) -> f64 {
-    let tiles = space.cols * space.rows;
+fn added_area(spec: &RunSpec) -> f64 {
+    let tiles = spec.cols * spec.rows;
     let model = AreaModel::default();
-    let compression = match point.placement {
+    let compression = match spec.placement {
         CompressionPlacement::Baseline | CompressionPlacement::Ideal => 0.0,
         CompressionPlacement::CacheOnly => model.cc(tiles).added_mm2,
         CompressionPlacement::CacheAndNi => model.cnc(tiles).added_mm2,
         CompressionPlacement::Disco => model.disco(tiles).added_mm2,
     };
-    let topo = point.topology.build(space.cols, space.rows);
+    let topo = spec.topology.build(spec.cols, spec.rows);
     compression + model.express(tiles, topo.express_link_count()).added_mm2
 }
 
@@ -231,85 +222,102 @@ fn ints(values: &[usize]) -> String {
         .join(",")
 }
 
-/// Renders the versioned frontier JSON. Every declared axis of
-/// [`DesignSpace`] appears by name in the `space` block — `cargo xtask
-/// verify` checks this pairing against the struct definition.
+/// Renders the versioned frontier JSON. `DesignSpace` and `RunSpec` are
+/// destructured without `..`, so a new axis does not compile until it
+/// is rendered here or waived with `_`.
 fn render(
     space: &DesignSpace,
-    points: &[DesignPoint],
+    points: &[RunSpec],
     done: &std::collections::BTreeMap<u64, JournalEntry>,
     frontier: &Frontier,
 ) -> String {
     use std::fmt::Write as _;
+    let DesignSpace {
+        cols,
+        rows,
+        trace_len,
+        seed,
+        topologies,
+        vcs,
+        buffer_depths,
+        placements,
+        schemes,
+        cc_thresholds,
+        cd_thresholds,
+        gammas,
+        alphas,
+        betas,
+        benchmarks,
+    } = space;
     let mut out = String::new();
     out.push_str("{\n  \"format\": \"disco-pareto/1\",\n  \"space\": {\n");
-    let _ = writeln!(out, "    \"cols\": {},", space.cols);
-    let _ = writeln!(out, "    \"rows\": {},", space.rows);
-    let _ = writeln!(out, "    \"trace_len\": {},", space.trace_len);
-    let _ = writeln!(out, "    \"seed\": {},", space.seed);
+    let _ = writeln!(out, "    \"cols\": {cols},");
+    let _ = writeln!(out, "    \"rows\": {rows},");
+    let _ = writeln!(out, "    \"trace_len\": {trace_len},");
+    let _ = writeln!(out, "    \"seed\": {seed},");
     let _ = writeln!(
         out,
         "    \"topologies\": [{}],",
-        names(&space.topologies, |t| t.name())
+        names(topologies, |t| t.name())
     );
-    let _ = writeln!(out, "    \"vcs\": [{}],", ints(&space.vcs));
-    let _ = writeln!(
-        out,
-        "    \"buffer_depths\": [{}],",
-        ints(&space.buffer_depths)
-    );
+    let _ = writeln!(out, "    \"vcs\": [{}],", ints(vcs));
+    let _ = writeln!(out, "    \"buffer_depths\": [{}],", ints(buffer_depths));
     let _ = writeln!(
         out,
         "    \"placements\": [{}],",
-        names(&space.placements, |p| p.name())
+        names(placements, |p| p.name())
     );
-    let _ = writeln!(
-        out,
-        "    \"schemes\": [{}],",
-        names(&space.schemes, |s| s.name())
-    );
-    let _ = writeln!(
-        out,
-        "    \"cc_thresholds\": [{}],",
-        floats(&space.cc_thresholds)
-    );
-    let _ = writeln!(
-        out,
-        "    \"cd_thresholds\": [{}],",
-        floats(&space.cd_thresholds)
-    );
-    let _ = writeln!(out, "    \"gammas\": [{}],", floats(&space.gammas));
-    let _ = writeln!(out, "    \"alphas\": [{}],", floats(&space.alphas));
-    let _ = writeln!(out, "    \"betas\": [{}],", floats(&space.betas));
+    let _ = writeln!(out, "    \"schemes\": [{}],", names(schemes, |s| s.name()));
+    let _ = writeln!(out, "    \"cc_thresholds\": [{}],", floats(cc_thresholds));
+    let _ = writeln!(out, "    \"cd_thresholds\": [{}],", floats(cd_thresholds));
+    let _ = writeln!(out, "    \"gammas\": [{}],", floats(gammas));
+    let _ = writeln!(out, "    \"alphas\": [{}],", floats(alphas));
+    let _ = writeln!(out, "    \"betas\": [{}],", floats(betas));
     let _ = writeln!(
         out,
         "    \"benchmarks\": [{}]",
-        names(&space.benchmarks, |b| b.name())
+        names(benchmarks, |b| b.name())
     );
     out.push_str("  },\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let e = &done[&p.id];
+    for (id, p) in (0u64..).zip(points) {
+        let RunSpec {
+            // Shared by every point; rendered once in the space block.
+            cols: _,
+            rows: _,
+            trace_len: _,
+            seed: _,
+            topology,
+            vcs,
+            buffer_depth,
+            placement,
+            scheme,
+            benchmark,
+            cc_threshold,
+            cd_threshold,
+            gamma,
+            alpha,
+            beta,
+            // Not axes: every point runs serially, on the automatic
+            // cycle budget, without faults (`DesignSpace::points`).
+            compute_shards: _,
+            max_cycles: _,
+            fault_rate: _,
+        } = p;
+        let e = &done[&id];
         let _ = write!(
             out,
-            "    {{\"id\":{},\"topology\":\"{}\",\"vcs\":{},\"buffer_depth\":{},\
-             \"placement\":\"{}\",\"scheme\":\"{}\",\"cc_threshold\":{:?},\
-             \"cd_threshold\":{:?},\"gamma\":{:?},\"alpha\":{:?},\"beta\":{:?},\
+            "    {{\"id\":{id},\"topology\":\"{}\",\"vcs\":{vcs},\
+             \"buffer_depth\":{buffer_depth},\"placement\":\"{}\",\"scheme\":\"{}\",\
+             \"cc_threshold\":{cc_threshold:?},\"cd_threshold\":{cd_threshold:?},\
+             \"gamma\":{gamma:?},\"alpha\":{alpha:?},\"beta\":{beta:?},\
              \"benchmark\":\"{}\",\"latency\":{:?},\"pj_per_cycle\":{:?},\
              \"area_mm2\":{:?},\"energy\":{{\"noc_dynamic_pj\":{:?},\
              \"noc_static_pj\":{:?},\"cache_dynamic_pj\":{:?},\"cache_static_pj\":{:?},\
              \"compressor_pj\":{:?}}},\"deterministic\":{}}}",
-            p.id,
-            json_escape(p.topology.name()),
-            p.vcs,
-            p.buffer_depth,
-            json_escape(p.placement.name()),
-            json_escape(p.scheme.name()),
-            p.cc_threshold,
-            p.cd_threshold,
-            p.gamma,
-            p.alpha,
-            p.beta,
-            json_escape(p.benchmark.name()),
+            json_escape(topology.name()),
+            json_escape(placement.name()),
+            json_escape(scheme.name()),
+            json_escape(benchmark.name()),
             e.latency,
             e.pj_per_cycle,
             e.area_mm2,
@@ -320,7 +328,11 @@ fn render(
             e.compressor_pj,
             e.deterministic,
         );
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
+        out.push_str(if id + 1 < points.len() as u64 {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     out.push_str("  ],\n");
     let _ = writeln!(

@@ -15,8 +15,11 @@
 //!
 //! The moving parts:
 //!
+//! - [`spec`] — [`spec::RunSpec`], the one description of a full-system
+//!   run that design points and `disco-serve` jobs share, and its
+//!   queue-entry parser.
 //! - [`space`] — the declared axes and their deterministic cartesian
-//!   enumeration (ids are enumeration order, forever).
+//!   enumeration into `RunSpec`s (ids are enumeration order, forever).
 //! - [`exec`] — the worker fan-out (shared with `disco-bench`'s sweep
 //!   harness) and the configuration warnings.
 //! - [`frontier`] — weak/epsilon dominance and the frontier census.
@@ -36,8 +39,10 @@ pub mod frontier;
 pub mod journal;
 pub mod json;
 pub mod space;
+pub mod spec;
 
 pub use driver::{explore, ExploreConfig, ExploreOutcome};
 pub use frontier::{dominates, epsilon_dominates, Frontier, Objectives};
 pub use journal::{write_atomic, Journal, JournalEntry};
-pub use space::{DesignPoint, DesignSpace};
+pub use space::DesignSpace;
+pub use spec::RunSpec;

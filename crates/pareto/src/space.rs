@@ -1,9 +1,9 @@
 //! The declared design space and its deterministic enumeration.
 //!
 //! A [`DesignSpace`] names every axis the exploration sweeps; `points()`
-//! expands the cartesian product into [`DesignPoint`]s with sequential
-//! ids. The enumeration order is part of the format: point ids key the
-//! journal and the rendered frontier JSON, so the loops below are
+//! expands the cartesian product into [`RunSpec`]s whose index is the
+//! point id. The enumeration order is part of the format: point ids key
+//! the journal and the rendered frontier JSON, so the loops below are
 //! ordered outermost-to-innermost exactly as the fields are declared and
 //! must never be reordered without bumping the output version.
 //!
@@ -13,9 +13,11 @@
 //! same simulation.
 
 use disco_compress::SchemeKind;
-use disco_core::{CompressionPlacement, DiscoParams};
+use disco_core::CompressionPlacement;
 use disco_noc::TopologyChoice;
 use disco_workloads::Benchmark;
+
+use crate::spec::RunSpec;
 
 /// The declared axes of one exploration.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,65 +55,6 @@ pub struct DesignSpace {
     pub betas: Vec<f64>,
     /// Workloads.
     pub benchmarks: Vec<Benchmark>,
-}
-
-/// One fully-specified simulation configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DesignPoint {
-    /// Enumeration-order id — the stable key of the journal and the
-    /// frontier JSON.
-    pub id: u64,
-    /// NoC topology.
-    pub topology: TopologyChoice,
-    /// Declared VCs per input port.
-    pub vcs: usize,
-    /// Buffer depth per VC, flits.
-    pub buffer_depth: usize,
-    /// Compression placement.
-    pub placement: CompressionPlacement,
-    /// Codec.
-    pub scheme: SchemeKind,
-    /// `CC_th`.
-    pub cc_threshold: f64,
-    /// `CD_th`.
-    pub cd_threshold: f64,
-    /// γ (Eq. 1 local coefficient).
-    pub gamma: f64,
-    /// α (Eq. 2 local coefficient).
-    pub alpha: f64,
-    /// β (Eq. 2 distance coefficient).
-    pub beta: f64,
-    /// Workload.
-    pub benchmark: Benchmark,
-}
-
-impl DesignPoint {
-    /// The DISCO arbitration parameters this point requests (defaults
-    /// for everything the space does not sweep). Meaningful only when
-    /// `placement` is DISCO; harmless otherwise.
-    pub fn disco_params(&self) -> DiscoParams {
-        DiscoParams {
-            cc_threshold: self.cc_threshold,
-            cd_threshold: self.cd_threshold,
-            gamma: self.gamma,
-            alpha: self.alpha,
-            beta: self.beta,
-            ..DiscoParams::default()
-        }
-    }
-
-    /// A human-readable configuration label for logs and the JSON.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{}/vc{}/d{}/{}/{}",
-            self.topology.name(),
-            self.placement.name(),
-            self.vcs,
-            self.buffer_depth,
-            self.scheme.name(),
-            self.benchmark.name(),
-        )
-    }
 }
 
 impl DesignSpace {
@@ -174,20 +117,20 @@ impl DesignSpace {
         }
     }
 
-    /// Expands the axes into design points with sequential ids.
+    /// Expands the axes into design points; a point's index is its id.
     ///
     /// Collapse rules (each skipped axis pins its *first* declared
     /// value): Baseline takes one scheme slot — it compresses nothing,
     /// so codecs are indistinguishable; every non-DISCO placement takes
-    /// one threshold/coefficient slot — nothing else consults
-    /// [`DiscoParams`]. Two distinct ids therefore always describe two
+    /// one threshold/coefficient slot — nothing else consults the DISCO
+    /// parameters. Two distinct ids therefore always describe two
     /// distinct simulations.
     ///
     /// # Panics
     ///
     /// Panics if any axis is empty — an empty axis silently explores
     /// nothing, which is never what a batch driver wants.
-    pub fn points(&self) -> Vec<DesignPoint> {
+    pub fn points(&self) -> Vec<RunSpec> {
         for (name, len) in [
             ("topologies", self.topologies.len()),
             ("vcs", self.vcs.len()),
@@ -222,19 +165,25 @@ impl DesignSpace {
                         };
                         for &scheme in schemes {
                             let mut push = |cc, cd, gamma, alpha, beta, bench| {
-                                out.push(DesignPoint {
-                                    id: out.len() as u64,
+                                out.push(RunSpec {
+                                    cols: self.cols,
+                                    rows: self.rows,
                                     topology,
                                     vcs,
                                     buffer_depth,
                                     placement,
                                     scheme,
+                                    benchmark: bench,
+                                    trace_len: self.trace_len,
+                                    seed: self.seed,
                                     cc_threshold: cc,
                                     cd_threshold: cd,
                                     gamma,
                                     alpha,
                                     beta,
-                                    benchmark: bench,
+                                    compute_shards: 1,
+                                    max_cycles: 0,
+                                    fault_rate: 0.0,
                                 });
                             };
                             if placement == CompressionPlacement::Disco {
@@ -274,9 +223,6 @@ mod tests {
     fn ids_are_sequential_and_enumeration_is_stable() {
         let space = DesignSpace::smoke();
         let points = space.points();
-        for (i, p) in points.iter().enumerate() {
-            assert_eq!(p.id, i as u64);
-        }
         assert_eq!(points, space.points(), "enumeration must be deterministic");
         // Smoke space: 2 topologies × (Baseline·1 + CC·2 + CNC·2 +
         // DISCO·2 schemes) = 14 points.
@@ -300,41 +246,9 @@ mod tests {
         assert_eq!(disco, 2 * 2 * 3, "topologies × schemes × cc_thresholds");
         assert_eq!(baseline, 2, "one Baseline point per topology");
         // No two ids describe the same simulation.
-        for a in &points {
-            for b in &points {
-                if a.id != b.id {
-                    assert_ne!(
-                        (
-                            a.topology,
-                            a.vcs,
-                            a.buffer_depth,
-                            a.placement,
-                            a.scheme,
-                            a.cc_threshold.to_bits(),
-                            a.cd_threshold.to_bits(),
-                            a.gamma.to_bits(),
-                            a.alpha.to_bits(),
-                            a.beta.to_bits(),
-                            a.benchmark
-                        ),
-                        (
-                            b.topology,
-                            b.vcs,
-                            b.buffer_depth,
-                            b.placement,
-                            b.scheme,
-                            b.cc_threshold.to_bits(),
-                            b.cd_threshold.to_bits(),
-                            b.gamma.to_bits(),
-                            b.alpha.to_bits(),
-                            b.beta.to_bits(),
-                            b.benchmark
-                        ),
-                        "ids {} and {} collapse to one simulation",
-                        a.id,
-                        b.id
-                    );
-                }
+        for (i, a) in points.iter().enumerate() {
+            for (j, b) in points.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "ids {i} and {j} collapse to one simulation");
             }
         }
     }

@@ -37,7 +37,7 @@ use std::hash::BuildHasher;
 pub const MAGIC: [u8; 8] = *b"DISCOSNP";
 
 /// Current snapshot format version. Bump on any encoding change.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Error decoding a snapshot stream.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -24,8 +24,8 @@
 //!   (mutation through helper methods, `#[cfg]`-hidden branches,
 //!   aliased `&mut`) on top of —
 //! - [`lints`] — the lint pass: panic-API-free per-cycle hot paths,
-//!   full stats surfacing, commit confinement, wall-clock freedom, and
-//!   fault-kind coverage.
+//!   commit confinement, wall-clock freedom, compute-phase purity,
+//!   fault-kind coverage and the snapshot manifest.
 //!
 //! ```
 //! use disco_noc::topology::{Torus, TopologySpec};

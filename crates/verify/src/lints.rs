@@ -2,7 +2,7 @@
 //! code rules checked on parsed token trees ([`crate::ast`]). No
 //! dependencies beyond `std`.
 //!
-//! Six rules:
+//! Six rules, one `cargo xtask verify` lint family each:
 //!
 //! 1. **Panic-free hot paths** — the files executed every simulated cycle
 //!    must not call `.unwrap()` or `.expect(...)`. Recoverable conditions
@@ -10,20 +10,18 @@
 //!    use `assert!`/`panic!` with a message naming the violated
 //!    invariant. Comments and `#[cfg(test)]` items, where panicking is
 //!    idiomatic, are skipped.
-//! 2. **Stats surfacing** — every public counter field of
-//!    `NetworkStats`, `DiscoStats`, and `ProvenanceTotals` must appear in
-//!    `report.rs`, so no measurement silently drops out of the stats file
-//!    the experiments diff.
-//! 3. **Commit confinement** — the phase-split cycle kernel keeps its
+//! 2. **Commit confinement** — the phase-split cycle kernel keeps its
 //!    determinism guarantee only if every `Router` field write happens in
 //!    the node-ordered commit pass. No file in `crates/noc/src` other
 //!    than `commit.rs` (and `router.rs` itself) may mutate a router's
 //!    `inputs`, `out_alloc`, `credits`, `rr_sa`, or `sa_losers` directly.
-//! 4. **No wall-clock in the trace path** — trace records are stamped
+//! 3. **No wall-clock in the trace path** — trace records are stamped
 //!    with the simulated cycle, never host time, or the export stops
 //!    being byte-identical across shard counts and reruns. Nothing under
 //!    `crates/trace/src` and no emission-site file may mention
 //!    `std::time`, `Instant`, or `SystemTime`.
+//! 4. **Compute-phase purity** — `compute_router` keeps its
+//!    `&Router` signature and uses no interior mutability.
 //! 5. **Fault-kind coverage** — every `FaultKind` variant declared in
 //!    `crates/faults/src/lib.rs` must have at least one injection site
 //!    (a `FaultKind::<Variant>` reference in non-test simulator code
@@ -39,6 +37,11 @@
 //!    without deciding its checkpoint treatment silently produces
 //!    snapshots that resume into a different simulation; this lint
 //!    turns that into a build failure.
+//!
+//! Two former rules are now compile errors instead of string scans:
+//! `SimReport::write_stats` destructures every counter struct it
+//! renders, and the pareto frontier renderer destructures `DesignSpace`
+//! and `RunSpec`, each without `..`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -75,19 +78,6 @@ pub const HOT_PATHS: &[&str] = &[
 /// methods.
 const ROUTER_FIELDS: &[&str] = &["inputs", "out_alloc", "credits", "rr_sa", "sa_losers"];
 
-/// The counter structs whose fields must be surfaced, and where they live.
-const STATS_SOURCES: &[(&str, &str)] = &[
-    ("crates/noc/src/stats.rs", "NetworkStats"),
-    ("crates/core/src/engine.rs", "DiscoStats"),
-    ("crates/trace/src/provenance.rs", "ProvenanceTotals"),
-    ("crates/faults/src/lib.rs", "FaultStats"),
-    ("crates/energy/src/model.rs", "EnergyCounts"),
-    ("crates/energy/src/model.rs", "EnergyBreakdown"),
-];
-
-/// Where the counters must be surfaced.
-const REPORT_PATH: &str = "crates/core/src/report.rs";
-
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
@@ -105,7 +95,7 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Emission-site files that must never read wall-clock time (rule 4).
+/// Emission-site files that must never read wall-clock time (rule 3).
 /// Every `.rs` file under `crates/trace/src` is additionally walked.
 /// (`crates/bench`'s harnesses legitimately use `Instant` for wall-clock
 /// throughput measurement and are deliberately out of scope.)
@@ -119,90 +109,6 @@ pub const WALLCLOCK_FREE: &[&str] = &[
     "crates/cache/src/nuca.rs",
     "crates/cache/src/dram.rs",
 ];
-
-/// Checks that every public counter field of the stats structs appears in
-/// `report.rs`.
-///
-/// # Errors
-///
-/// Propagates I/O errors reading the sources under `root`.
-pub fn check_stats_surfaced(root: &Path) -> io::Result<Vec<Violation>> {
-    let report = fs::read_to_string(root.join(REPORT_PATH))?;
-    let mut violations = Vec::new();
-    for (rel, struct_name) in STATS_SOURCES {
-        let src = fs::read_to_string(root.join(rel))?;
-        let fields = struct_fields(&src, struct_name);
-        if fields.is_empty() {
-            violations.push(Violation {
-                file: PathBuf::from(rel),
-                line: 1,
-                message: format!("struct {struct_name} not found"),
-            });
-            continue;
-        }
-        for (line, field) in fields {
-            if !report.contains(&field) {
-                violations.push(Violation {
-                    file: PathBuf::from(rel),
-                    line,
-                    message: format!("{struct_name}.{field} is not surfaced in {REPORT_PATH}"),
-                });
-            }
-        }
-    }
-    Ok(violations)
-}
-
-/// Where the DSE design space declares its axes.
-const PARETO_SPACE_PATH: &str = "crates/pareto/src/space.rs";
-/// Where the DSE driver renders the frontier JSON.
-const PARETO_DRIVER_PATH: &str = "crates/pareto/src/driver.rs";
-
-/// Checks that every declared axis of the design space — every public
-/// field of `DesignSpace` — appears by name as a key in the frontier
-/// JSON the driver renders (rule: an axis the output schema omits is an
-/// axis nobody can audit the exploration over).
-///
-/// # Errors
-///
-/// Propagates I/O errors reading the sources under `root`.
-pub fn check_pareto_axes(root: &Path) -> io::Result<Vec<Violation>> {
-    let space = fs::read_to_string(root.join(PARETO_SPACE_PATH))?;
-    let driver = fs::read_to_string(root.join(PARETO_DRIVER_PATH))?;
-    Ok(scan_pareto_axes(&space, &driver)
-        .into_iter()
-        .map(|(line, message)| Violation {
-            file: PathBuf::from(PARETO_SPACE_PATH),
-            line,
-            message,
-        })
-        .collect())
-}
-
-/// Core of [`check_pareto_axes`] over source texts: every `pub` field
-/// of `DesignSpace` in `space_src` must appear as an escaped JSON key
-/// (`\"name\"`) in `driver_src`. Returns (1-based line in `space_src`,
-/// message) findings.
-pub fn scan_pareto_axes(space_src: &str, driver_src: &str) -> Vec<(usize, String)> {
-    let axes = struct_fields(space_src, "DesignSpace");
-    if axes.is_empty() {
-        return vec![(1, "struct DesignSpace not found".to_string())];
-    }
-    let mut findings = Vec::new();
-    for (line, axis) in axes {
-        let key = format!("\\\"{axis}\\\"");
-        if !driver_src.contains(&key) {
-            findings.push((
-                line,
-                format!(
-                    "DesignSpace.{axis} is not rendered as a `{key}` key in the \
-                     frontier JSON ({PARETO_DRIVER_PATH})"
-                ),
-            ));
-        }
-    }
-    findings
-}
 
 /// Where `FaultKind` is declared.
 const FAULT_KIND_PATH: &str = "crates/faults/src/lib.rs";
@@ -352,29 +258,6 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) -> io::Result<()>
     Ok(())
 }
 
-/// Public field names of `name` in `src`, with their 1-based lines.
-fn struct_fields(src: &str, name: &str) -> Vec<(usize, String)> {
-    let header = format!("pub struct {name} {{");
-    let mut fields = Vec::new();
-    let mut inside = false;
-    for (idx, line) in src.lines().enumerate() {
-        let trimmed = line.trim();
-        if !inside {
-            inside = trimmed.starts_with(&header);
-            continue;
-        }
-        if trimmed.starts_with('}') {
-            break;
-        }
-        if let Some(rest) = trimmed.strip_prefix("pub ") {
-            if let Some((field, _ty)) = rest.split_once(':') {
-                fields.push((idx + 1, field.trim().to_string()));
-            }
-        }
-    }
-    fields
-}
-
 /// The repository root, resolved from this crate's manifest directory
 /// (`crates/verify` → two levels up).
 pub fn repo_root() -> PathBuf {
@@ -498,7 +381,7 @@ pub fn check_commit_confinement_ast(root: &Path) -> io::Result<Vec<Violation>> {
     Ok(violations)
 }
 
-/// Wall-clock check (rule 4) over [`WALLCLOCK_FREE`] and every file
+/// Wall-clock check (rule 3) over [`WALLCLOCK_FREE`] and every file
 /// under `crates/trace/src`, using identifier tokens instead of
 /// substring matches (so a struct field named `instant_rate` does not
 /// trip it, while `std::time::Instant` behind `#[cfg(feature = …)]`
@@ -647,9 +530,8 @@ pub fn parse_snapshot_manifest(text: &str) -> Result<Vec<ManifestEntry>, String>
     Ok(entries)
 }
 
-/// Every field of struct `name` in `src` — private ones included, which
-/// is what distinguishes this from the rule-2 `struct_fields` scan —
-/// with 1-based lines. Attribute lines (`#[cfg(...)]` etc.) and
+/// Every field of struct `name` in `src`, private ones included, with
+/// 1-based lines. Attribute lines (`#[cfg(...)]` etc.) and
 /// comments are skipped; a field line is `[pub[(crate)]] name: Type,`.
 pub fn all_struct_fields(src: &str, name: &str) -> Vec<(usize, String)> {
     let headers = [
@@ -764,12 +646,6 @@ pub fn check_snapshot_manifest(root: &Path) -> io::Result<Vec<Violation>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_are_surfaced() {
-        let violations = check_stats_surfaced(&repo_root()).expect("sources readable");
-        assert_eq!(violations, Vec::new(), "every counter must reach report.rs");
-    }
 
     #[test]
     fn wallclock_scanner_flags_code_but_not_comments_or_tests() {
@@ -934,26 +810,5 @@ pub enum FaultKind {\n\
         assert_eq!(camel_to_snake("LinkDrop"), "link_drop");
         assert_eq!(camel_to_snake("PayloadBitFlip"), "payload_bit_flip");
         assert_eq!(camel_to_snake("DramStall"), "dram_stall");
-    }
-
-    #[test]
-    fn field_extraction_reads_pub_fields() {
-        let src = "\
-/// Doc.\n\
-pub struct FooStats {\n\
-    /// A counter.\n\
-    pub alpha: u64,\n\
-    /// Another.\n\
-    pub beta_by_class: [u64; 3],\n\
-    hidden: u64,\n\
-}\n";
-        let fields: Vec<String> = struct_fields(src, "FooStats")
-            .into_iter()
-            .map(|f| f.1)
-            .collect();
-        assert_eq!(
-            fields,
-            vec!["alpha".to_string(), "beta_by_class".to_string()]
-        );
     }
 }

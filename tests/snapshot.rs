@@ -129,6 +129,25 @@ fn wrong_topology_restore_is_a_typed_error() {
         Err(SimError::SnapshotConfigMismatch { field: "cols", .. })
     ));
 
+    // So do a different workload and an armed fault plan: neither
+    // changes the grid, and either would resume another simulation.
+    let canneal = builder().benchmark(Benchmark::Canneal);
+    assert!(matches!(
+        System::restore_with(&bytes, &canneal),
+        Err(SimError::SnapshotConfigMismatch {
+            field: "profile",
+            ..
+        })
+    ));
+    let faulty = builder().faults(disco::faults::FaultPlan::uniform(5 ^ 0xfa17, 1e-3));
+    assert!(matches!(
+        System::restore_with(&bytes, &faulty),
+        Err(SimError::SnapshotConfigMismatch {
+            field: "fault_plan",
+            ..
+        })
+    ));
+
     // The matching configuration sails through.
     let resumed = System::restore_with(&bytes, &builder()).expect("matching config restores");
     resumed.run_to_completion().expect("resumed run drains");

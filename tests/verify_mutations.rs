@@ -276,61 +276,6 @@ fn compute_phase_interior_mutability_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Design-space axis coverage in the frontier JSON (rule 8)
-// ---------------------------------------------------------------------------
-
-/// A new axis added to `DesignSpace` without teaching the driver's JSON
-/// render about it — the exploration would silently sweep a dimension
-/// the output schema never names. The axis lint must flag the missing
-/// key, and name it.
-#[test]
-fn unrendered_design_space_axis_is_caught() {
-    let space = "
-        pub struct DesignSpace {
-            pub cols: usize,
-            pub gammas: Vec<f64>,
-        }
-    ";
-    // The driver as committed: both keys rendered.
-    let clean = r#"
-        out.push_str("{\"cols\": 1, \"gammas\": [0.5]}");
-    "#;
-    assert_eq!(lints::scan_pareto_axes(space, clean), Vec::new());
-
-    // The mutation: the render loses (or never gains) the gammas key.
-    let mutated = r#"
-        out.push_str("{\"cols\": 1}");
-    "#;
-    let findings = lints::scan_pareto_axes(space, mutated);
-    assert!(
-        findings.iter().any(|(_, m)| m.contains("gammas")),
-        "the unrendered axis must be flagged by name: {findings:?}"
-    );
-}
-
-/// The degenerate mutation: `DesignSpace` renamed or removed entirely.
-/// An empty field list must fail loudly — a lint that silently matches
-/// nothing proves nothing by passing.
-#[test]
-fn missing_design_space_struct_is_caught() {
-    let findings = lints::scan_pareto_axes("pub struct Other {}", "anything");
-    assert!(
-        findings.iter().any(|(_, m)| m.contains("DesignSpace")),
-        "a vanished DesignSpace must be flagged: {findings:?}"
-    );
-}
-
-/// The live repository must stay clean under rule 8 end-to-end: every
-/// axis the committed `DesignSpace` declares is named in the committed
-/// driver's frontier JSON.
-#[test]
-fn live_design_space_axes_are_all_rendered() {
-    let root = lints::repo_root();
-    let violations = lints::check_pareto_axes(&root).expect("sources readable");
-    assert_eq!(violations, Vec::new());
-}
-
-// ---------------------------------------------------------------------------
 // Snapshot manifest exhaustiveness (rule 6)
 // ---------------------------------------------------------------------------
 
