@@ -38,7 +38,7 @@ test:
 provenance:
     cargo run --release -p disco-bench --bin provenance
 
-# Regenerate both golden files (tests/golden_stats.txt and
-# tests/golden_disco_variants.txt) from one run.
+# Regenerate the three golden files (tests/golden_stats.txt,
+# tests/golden_disco_variants.txt and tests/golden_kernel.txt) from one run.
 update-golden:
     UPDATE_GOLDEN=1 cargo test -q --test golden
