@@ -19,11 +19,11 @@
 //! destination (core fills, DRAM writebacks) and is vetoed far from the
 //! destination by the `β·RC_Hop` term.
 //!
-//! Every engine runs the same lifecycle whatever its [`Mode`]: one start
-//! path ([`DiscoLayer::commit_start`]), one step that aborts when the
-//! packet left ([`Operation::in_place`]), waits out the latency window
-//! and applies the result ([`DiscoLayer::advance`]), and one finish path
-//! ([`DiscoLayer::finish`]).
+//! Every engine runs the same lifecycle whatever its `Mode`: one start
+//! path (`DiscoLayer::commit_start`), one step that aborts when the
+//! packet left (`Operation::in_place`), waits out the latency window
+//! and applies the result (`DiscoLayer::advance`), and one finish path
+//! (`DiscoLayer::finish`).
 
 use crate::arbitrator::{DiscoParams, Pressure};
 use crate::protocol::Msg;
@@ -277,7 +277,7 @@ impl DiscoLayer {
     /// [`Network::tick`] so the cycle's allocation losers are fresh.
     ///
     /// Mirrors the NoC's compute → commit split: engine *progress*
-    /// ([`step_engine`](Self::step_engine)) mutates shared state and runs
+    /// (`step_engine`) mutates shared state and runs
     /// serially in node order; the candidate *scan* is a pure function of
     /// the resulting network state and parallelizes across nodes; the
     /// *commit* applies the chosen starts in node order. Results are

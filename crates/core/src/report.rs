@@ -4,6 +4,7 @@ use crate::engine::DiscoStats;
 use crate::histogram::LatencyHistogram;
 use crate::placement::CompressionPlacement;
 use disco_cache::coherence::DirStats;
+use disco_cache::dram::DramStats;
 use disco_cache::{BankStats, L1Stats};
 use disco_compress::{CompressionStats, SchemeKind};
 use disco_energy::{EnergyBreakdown, EnergyCounts, EnergyModel, EnergyReport};
@@ -58,7 +59,7 @@ pub struct SimReport {
     /// Network counters.
     pub network: NetworkStats,
     /// DRAM counters.
-    pub dram: disco_cache::dram::DramStats,
+    pub dram: DramStats,
     /// Compression statistics over every line compressed anywhere.
     pub compression: CompressionStats,
     /// DISCO-layer counters (None for other placements).
@@ -152,16 +153,38 @@ impl SimReport {
             "core.onchip_latency_p99 = {:.1}",
             self.latency_histogram.percentile(0.99)
         )?;
-        writeln!(w, "l1.hits = {}", self.l1.hits)?;
-        writeln!(w, "l1.misses = {}", self.l1.misses)?;
+        let L1Stats {
+            hits,
+            misses,
+            writebacks,
+            invalidations,
+        } = self.l1;
+        writeln!(w, "l1.hits = {hits}")?;
+        writeln!(w, "l1.misses = {misses}")?;
         writeln!(w, "l1.miss_rate = {:.4}", self.l1.miss_rate())?;
-        writeln!(w, "l1.writebacks = {}", self.l1.writebacks)?;
-        writeln!(w, "l1.invalidations = {}", self.l1.invalidations)?;
-        writeln!(w, "llc.hits = {}", self.banks.hits)?;
-        writeln!(w, "llc.misses = {}", self.banks.misses)?;
+        writeln!(w, "l1.writebacks = {writebacks}")?;
+        writeln!(w, "l1.invalidations = {invalidations}")?;
+        let BankStats {
+            hits,
+            misses,
+            insertions: _, // no key (ROADMAP item 4)
+            evictions,
+            dirty_evictions: _, // no key (ROADMAP item 4)
+            bytes_accessed,
+        } = self.banks;
+        writeln!(w, "llc.hits = {hits}")?;
+        writeln!(w, "llc.misses = {misses}")?;
         writeln!(w, "llc.miss_rate = {:.4}", self.banks.miss_rate())?;
-        writeln!(w, "llc.evictions = {}", self.banks.evictions)?;
-        writeln!(w, "llc.bytes_accessed = {}", self.banks.bytes_accessed)?;
+        writeln!(w, "llc.evictions = {evictions}")?;
+        writeln!(w, "llc.bytes_accessed = {bytes_accessed}")?;
+        // The directory counters reach no key yet; `SimReport.directory`
+        // carries them to the tests and the benchmark.
+        let DirStats {
+            bank_reads: _,     // no key (ROADMAP item 4)
+            owner_forwards: _, // no key (ROADMAP item 4)
+            invalidations: _,  // no key (ROADMAP item 4)
+            write_requests: _, // no key (ROADMAP item 4)
+        } = self.directory;
         let NetworkStats {
             cycles,
             packets_injected,
@@ -197,8 +220,15 @@ impl SimReport {
         writeln!(w, "noc.routing_violations = {routing_violations}")?;
         writeln!(w, "noc.delivered_by_class = {dreq} {dresp} {dcoh}")?;
         writeln!(w, "noc.latency_by_class = {lreq} {lresp} {lcoh}")?;
-        writeln!(w, "dram.reads = {}", self.dram.reads)?;
-        writeln!(w, "dram.writes = {}", self.dram.writes)?;
+        let DramStats {
+            reads,
+            writes,
+            row_hits: _,        // dram.row_hit_rate
+            row_misses: _,      // dram.row_hit_rate
+            conflict_cycles: _, // no key (ROADMAP item 4)
+        } = self.dram;
+        writeln!(w, "dram.reads = {reads}")?;
+        writeln!(w, "dram.writes = {writes}")?;
         writeln!(w, "dram.row_hit_rate = {:.4}", self.dram.row_hit_rate())?;
         writeln!(w, "compression.lines = {}", self.compression.lines())?;
         writeln!(

@@ -22,8 +22,9 @@ use crate::topology::{NodeId, PortId};
 use std::sync::Mutex;
 
 /// Applies one router's own action lists: RC/VA state transitions, the
-/// winners' buffer pops and credit decrements, round-robin pointers,
-/// and the loser list the DISCO layer reads.
+/// winners' buffer pops and credit decrements, the winners' round-robin
+/// pointers (each moves just past its winner), and the loser list the
+/// DISCO layer reads.
 pub(crate) fn commit_router_local(router: &mut Router, outcome: &RouterOutcome) {
     let vcs = router.config.vcs;
     let flat = |port: usize, v: usize| port * vcs + v;
@@ -34,7 +35,9 @@ pub(crate) fn commit_router_local(router: &mut Router, outcome: &RouterOutcome) 
         router.out_alloc[flat(dir.0, out_vc)] = Some((port, v));
         router.inputs[flat(port, v)].state = VcState::Active { out: dir, out_vc };
     }
+    let inputs = router.ports * vcs;
     for dep in &outcome.departures {
+        router.rr_sa[dep.out.0] = (flat(dep.in_port, dep.in_vc) + 1) % inputs;
         let popped = router.pop_front_flit(dep.in_port, dep.in_vc);
         assert!(
             popped.is_some_and(|f| f.packet == dep.flit.packet),
@@ -48,7 +51,6 @@ pub(crate) fn commit_router_local(router: &mut Router, outcome: &RouterOutcome) 
             router.inputs[flat(dep.in_port, dep.in_vc)].state = VcState::Idle;
         }
     }
-    router.rr_sa.clone_from(&outcome.rr_sa);
     router.sa_losers.clear();
     router.sa_losers.extend_from_slice(&outcome.sa_losers);
 }
@@ -57,6 +59,12 @@ pub(crate) fn commit_router_local(router: &mut Router, outcome: &RouterOutcome) 
 /// effects (credit returns upstream, link deliveries with the pipeline
 /// delay stamped in, ejections) and the stat merge.
 fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
+    // A router that decided nothing has no state to change and a zero
+    // stat delta; only last cycle's losers go stale.
+    if outcome.is_quiet() {
+        net.routers[i].sa_losers.clear();
+        return;
+    }
     let now = net.now;
     commit_router_local(&mut net.routers[i], outcome);
     // Cycle-stamp this router's compute-phase events here, in node

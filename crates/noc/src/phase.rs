@@ -3,17 +3,28 @@
 //! [`compute_router`] runs one router's RC, VA, and SA stages as a pure
 //! function over an immutable snapshot of that router's state at the
 //! start of the cycle, and writes the decisions as typed action lists
-//! into a caller-provided [`RouterOutcome`]. It mutates no router state:
-//! within-cycle dependencies (VA sees this cycle's RC, SA sees this
-//! cycle's VA) are tracked in small overlays of the per-VC state and the
-//! output allocation table, while buffers and credits are only read.
+//! into a caller-provided [`RouterOutcome`]. It mutates no router state.
 //!
-//! The overlays and the SA candidate list live in a reusable
-//! [`ComputeScratch`] arena, and the outcome's action lists are cleared
-//! (not reallocated) on entry — so a steady-state cycle performs **zero
-//! heap allocations**: every buffer reaches its high-water capacity once
-//! and is reused for the rest of the run. `crates/noc/tests` pins this
-//! with a counting global allocator.
+//! One classification pass walks the input VCs in `(port, vc)` order.
+//! An `Idle` VC with a ready head flit is routed (RC), a `Routed` VC
+//! bids for an output VC (VA), and an `Active` VC with a ready,
+//! unlocked front flit is filed as a switch request under its output
+//! port. Within-cycle dependencies need no overlay of the router's
+//! state: VA sees this cycle's RC because both happen in the same
+//! visit, an output VC granted earlier this cycle is found in the
+//! outcome's own grant list, and a VC granted here files its request in
+//! the same visit, so every per-output list stays in `(port, vc)` order.
+//! SA then arbitrates each output over its own requests, and the VA
+//! losers are the VCs the pass left `Routed`. A router whose VCs hold
+//! only flits still in the link pipeline records nothing and does no
+//! further work.
+//!
+//! The request lists live in a reusable [`ComputeScratch`] arena, and
+//! the outcome's action lists are cleared (not reallocated) on entry —
+//! so a steady-state cycle performs **zero heap allocations**: every
+//! buffer reaches its high-water capacity once and is reused for the
+//! rest of the run. `crates/noc/tests` pins this with a counting global
+//! allocator.
 //!
 //! Because every router's outcome depends only on the cycle-start
 //! snapshot, the compute phase may run for all routers in any order —
@@ -51,10 +62,10 @@ pub(crate) struct RouterOutcome {
     /// `Active` and acquires the output VC.
     pub grants: Vec<(usize, usize, PortId, usize)>,
     /// SA winners: one flit leaves per output port, with the credit
-    /// decrement, link delivery or ejection applied at commit.
+    /// decrement, link delivery or ejection applied at commit. Each
+    /// winner also advances its output's round-robin pointer past
+    /// itself.
     pub departures: Vec<Departure>,
-    /// Post-arbitration round-robin pointers, one per output port.
-    pub rr_sa: Vec<usize>,
     /// This cycle's allocation losers (the DISCO compression candidates).
     pub sa_losers: Vec<(usize, usize)>,
     /// This router's contribution to the network counters this cycle.
@@ -72,36 +83,59 @@ pub(crate) struct RouterOutcome {
 }
 
 impl RouterOutcome {
-    /// Clears per-cycle contents while retaining every allocation,
-    /// seeds the round-robin pointers from the router snapshot, and
+    /// Clears per-cycle contents while retaining every allocation and
     /// switches event recording to match the network's tracer.
-    fn reset(&mut self, rr_sa: &[usize], tracing: bool) {
+    fn reset(&mut self, tracing: bool) {
         self.routes.clear();
         self.grants.clear();
         self.departures.clear();
         self.sa_losers.clear();
-        self.rr_sa.clear();
-        self.rr_sa.extend_from_slice(rr_sa);
         self.stats = NetworkStats::new();
         self.events.clear();
         self.events.set_tracing(tracing);
         self.fault_port_stalls = 0;
     }
+
+    /// True when the router decided nothing this cycle: no route, grant,
+    /// departure, loser, event or forfeited arbitration round. Its stat
+    /// delta is then zero too, so committing it only clears the
+    /// router's loser list.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.routes.is_empty()
+            && self.grants.is_empty()
+            && self.departures.is_empty()
+            && self.sa_losers.is_empty()
+            && self.events.is_empty()
+            && self.fault_port_stalls == 0
+    }
 }
 
-/// Reusable per-shard working memory for [`compute_router`]: the RC/VA
-/// overlays and the SA candidate list. One arena serves every router of
-/// a shard in sequence; capacities grow to the high-water mark once and
-/// then stay — no per-router, per-cycle allocation.
+/// A switch request filed by the classification pass: an `Active` input
+/// VC with a ready, unlocked front flit, bidding for its output port.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    port: usize,
+    vc: usize,
+    out_vc: usize,
+    /// The front flit that traverses if this request wins.
+    flit: Flit,
+    /// Priority class (lower wins), or `None` when the output VC has no
+    /// downstream credit: the request then loses without arbitrating.
+    prio: Option<u8>,
+}
+
+/// Reusable per-shard working memory for [`compute_router`]: the SA
+/// requests per output port and the VA losers. One arena serves every
+/// router of a shard in sequence; capacities grow to the high-water mark
+/// once and then stay — no per-router, per-cycle allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ComputeScratch {
-    /// VC-state overlay (VA sees this cycle's RC), `port * vcs + vc`.
-    state: Vec<VcState>,
-    /// Output-allocation overlay (SA sees this cycle's VA), same layout.
-    alloc: Vec<Option<(usize, usize)>>,
-    /// SA candidates for the output port under arbitration:
-    /// `(port, vc, out_vc, prio)`.
-    candidates: Vec<(usize, usize, usize, u8)>,
+    /// Switch requests, one list per output port, each in `(port, vc)`
+    /// order.
+    requests: Vec<Vec<Request>>,
+    /// VCs left `Routed` with a ready, unlocked front flit (no output VC
+    /// was free), in `(port, vc)` order.
+    va_losers: Vec<(usize, usize)>,
 }
 
 /// Priority class for switch allocation (§3.3-B): lower wins.
@@ -141,40 +175,44 @@ pub(crate) fn compute_router(
     scratch: &mut ComputeScratch,
     out: &mut RouterOutcome,
 ) {
-    out.reset(&router.rr_sa, gate.tracing);
-    // Idle fast path: with no buffered flit there is no RC candidate, no
-    // VA-eligible VC with a front packet, no SA candidate, and no VA
-    // loser — the stage loops below would decide nothing. On big meshes
-    // most routers are idle most cycles; skip them outright.
+    out.reset(gate.tracing);
+    // Idle fast path: with no buffered flit there is nothing to classify.
+    // On big meshes most routers are idle most cycles; skip them outright.
     if router.total_buffered() == 0 {
         return;
     }
     let vcs = router.config.vcs;
     let ports = router.ports;
     let flat = |port: usize, v: usize| port * vcs + v;
-    // Local overlays: VA must see this cycle's RC and SA must see this
-    // cycle's VA, all without touching the router.
     let ComputeScratch {
-        state,
-        alloc,
-        candidates,
+        requests,
+        va_losers,
     } = scratch;
-    state.clear();
-    alloc.clear();
-    for i in 0..ports * vcs {
-        state.push(router.inputs[i].state);
-        alloc.push(router.out_alloc[i]);
+    if requests.len() < ports {
+        requests.resize_with(ports, Vec::new);
     }
+    for list in &mut requests[..ports] {
+        list.clear();
+    }
+    va_losers.clear();
 
-    // RC + VA, in the same (port, vc) order as the legacy in-place loop.
+    // Classification pass, in (port, vc) order: RC and VA run in the
+    // visit that finds them eligible, and every VC that ends the visit
+    // `Active` with a ready, unlocked front flit files a switch request.
     for port in 0..ports {
         for v in 0..vcs {
+            let vc = &router.inputs[flat(port, v)];
+            // An empty VC has nothing to route, allocate or send.
+            let Some(&front) = vc.buffer.front() else {
+                continue;
+            };
+            let ready = front.ready_at <= now;
+            let mut state = vc.state;
             // RC: a fresh head flit gets its output port.
-            if state[flat(port, v)] == VcState::Idle {
-                let front = match router.inputs[flat(port, v)].buffer.front() {
-                    Some(f) if f.kind.is_head() && f.ready_at <= now => *f,
-                    _ => continue,
-                };
+            if state == VcState::Idle {
+                if !(front.kind.is_head() && ready) {
+                    continue;
+                }
                 let pkt = store.get(front.packet);
                 let group = class_vcs(router, pkt.class);
                 let dir = route(
@@ -194,7 +232,7 @@ pub(crate) fn compute_router(
                 // Escape faulted links where a deadlock-free detour
                 // exists; the identity when no fault plan is active.
                 let dir = gate.adjust_route(topo, router.node, pkt.dst, dir);
-                state[flat(port, v)] = VcState::Routed(dir);
+                state = VcState::Routed(dir);
                 out.routes.push((port, v, dir));
                 disco_trace::emit!(
                     out.events,
@@ -208,21 +246,20 @@ pub(crate) fn compute_router(
                 );
             }
             // VA: acquire the class VC on the output port.
-            if let VcState::Routed(dir) = state[flat(port, v)] {
-                let packet = match router.inputs[flat(port, v)].front_packet() {
-                    Some(p) => p,
-                    None => continue,
-                };
-                let pkt = store.get(packet);
+            if let VcState::Routed(dir) = state {
+                let pkt = store.get(front.packet);
                 // Acquire any free VC of the class group on the output
                 // port, narrowed by the topology's dateline discipline
                 // (identity on the mesh; low/high half-groups on the
-                // wrap topologies). VCT/SAF additionally need
-                // whole-packet credit (§3.3-A).
+                // wrap topologies). An output VC is taken if the
+                // snapshot or an earlier grant this cycle holds it.
+                // VCT/SAF additionally need whole-packet credit (§3.3-A).
                 let class_group = class_vcs(router, pkt.class);
                 let out_vc =
                     output_vc_range(topo, router.node, dir, pkt.dst, class_group).find(|&cand| {
-                        if alloc[flat(dir.0, cand)].is_some() {
+                        if router.out_alloc[flat(dir.0, cand)].is_some()
+                            || out.grants.iter().any(|g| (g.2, g.3) == (dir, cand))
+                        {
                             return false;
                         }
                         match router.config.flow_control {
@@ -230,14 +267,20 @@ pub(crate) fn compute_router(
                             _ => router.credits[flat(dir.0, cand)] >= pkt.size_flits(),
                         }
                     });
-                let Some(out_vc) = out_vc else { continue };
-                alloc[flat(dir.0, out_vc)] = Some((port, v));
-                state[flat(port, v)] = VcState::Active { out: dir, out_vc };
+                let Some(out_vc) = out_vc else {
+                    // No free output VC: a VA loser, and therefore a
+                    // compression candidate, once its flit is ready.
+                    if ready && !vc.locked {
+                        va_losers.push((port, v));
+                    }
+                    continue;
+                };
+                state = VcState::Active { out: dir, out_vc };
                 out.grants.push((port, v, dir, out_vc));
                 disco_trace::emit!(
                     out.events,
                     disco_trace::Event::VcAlloc {
-                        packet: packet.0,
+                        packet: front.packet.0,
                         node: router.node.0 as u16,
                         in_port: port as u8,
                         in_vc: v as u8,
@@ -246,85 +289,81 @@ pub(crate) fn compute_router(
                     }
                 );
             }
+            // SA request: a ready front flit on an active VC. A locked
+            // VC is under committed de/compression: its shadow is
+            // invalid and must not be scheduled.
+            let VcState::Active { out: o, out_vc } = state else {
+                continue;
+            };
+            if !ready || vc.locked {
+                continue;
+            }
+            let prio = if router.credits[flat(o.0, out_vc)] == 0 {
+                None
+            } else if router.config.flow_control == FlowControl::StoreAndForward
+                && front.kind.is_head()
+                && !front.kind.is_tail()
+                && !vc.has_tail_of(front.packet)
+            {
+                // SAF: the whole packet must be buffered before the head
+                // may leave; until then the VC neither bids nor loses.
+                continue;
+            } else {
+                Some(sa_priority(router, store, front.packet))
+            };
+            if let Some(list) = requests.get_mut(o.0) {
+                list.push(Request {
+                    port,
+                    vc: v,
+                    out_vc,
+                    flit: front,
+                    prio,
+                });
+            }
         }
     }
 
-    // SA + traversal decisions: one winner per output port. Credits are
-    // read from the snapshot only — each output is arbitrated exactly
-    // once per cycle and outputs never share a credit counter, so no
-    // overlay is needed.
-    for oi in 0..ports {
+    // SA + traversal decisions: one winner per output port, over that
+    // output's requests only. Credits are read from the snapshot — each
+    // output is arbitrated exactly once per cycle and outputs never
+    // share a credit counter.
+    for (oi, reqs) in requests[..ports].iter().enumerate() {
+        if reqs.is_empty() {
+            continue;
+        }
         let outdir = PortId(oi);
-        // Gather candidates into the reusable arena: active VCs routed to
-        // this output with a ready front flit and downstream credit.
-        candidates.clear();
-        for port in 0..ports {
-            for v in 0..vcs {
-                let (o, out_vc) = match state[flat(port, v)] {
-                    VcState::Active { out: o, out_vc } => (o, out_vc),
-                    _ => continue,
-                };
-                if o != outdir {
-                    continue;
+        for r in reqs.iter().filter(|r| r.prio.is_none()) {
+            out.sa_losers.push((r.port, r.vc));
+            disco_trace::emit!(
+                out.events,
+                disco_trace::Event::VcStall {
+                    packet: r.flit.packet.0,
+                    node: router.node.0 as u16,
+                    port: r.port as u8,
+                    vc: r.vc as u8,
+                    reason: disco_trace::stall::NO_CREDIT,
                 }
-                let vc = &router.inputs[flat(port, v)];
-                let front = match vc.buffer.front() {
-                    Some(f) if f.ready_at <= now => *f,
-                    _ => continue,
-                };
-                if vc.locked {
-                    // Committed de/compression: the shadow is invalid
-                    // and must not be scheduled.
-                    continue;
-                }
-                if router.credits[flat(oi, out_vc)] == 0 {
-                    out.sa_losers.push((port, v));
-                    disco_trace::emit!(
-                        out.events,
-                        disco_trace::Event::VcStall {
-                            packet: front.packet.0,
-                            node: router.node.0 as u16,
-                            port: port as u8,
-                            vc: v as u8,
-                            reason: disco_trace::stall::NO_CREDIT,
-                        }
-                    );
-                    continue;
-                }
-                if router.config.flow_control == FlowControl::StoreAndForward
-                    && front.kind.is_head()
-                    && !front.kind.is_tail()
-                    && !vc.has_tail_of(front.packet)
-                {
-                    // SAF: the whole packet must be buffered before the
-                    // head may leave.
-                    continue;
-                }
-                let prio = sa_priority(router, store, front.packet);
-                candidates.push((port, v, out_vc, prio));
-            }
+            );
+        }
+        let candidates = || reqs.iter().filter(|r| r.prio.is_some());
+        if candidates().next().is_none() {
+            continue;
         }
         // An injected port stall (or flaky-link outage window) forfeits
         // this output's arbitration round outright: every candidate
         // idles — and, like any SA loser, becomes a DISCO compression
         // candidate.
-        if !candidates.is_empty()
-            && !router.is_local_port(outdir)
-            && gate.output_blocked(now, router.node.0, oi)
-        {
+        if !router.is_local_port(outdir) && gate.output_blocked(now, router.node.0, oi) {
             out.fault_port_stalls += 1;
-            for c in candidates.iter() {
-                out.sa_losers.push((c.0, c.1));
+            for c in candidates() {
+                out.sa_losers.push((c.port, c.vc));
                 disco_trace::emit!(
                     out.events,
                     disco_trace::Event::VcStall {
-                        packet: router.inputs[flat(c.0, c.1)]
-                            .buffer
-                            .front()
-                            .map_or(0, |f| f.packet.0),
+                        packet: c.flit.packet.0,
                         node: router.node.0 as u16,
-                        port: c.0 as u8,
-                        vc: c.1 as u8,
+                        port: c.port as u8,
+                        vc: c.vc as u8,
                         reason: disco_trace::stall::FAULT_STALL,
                     }
                 );
@@ -334,53 +373,30 @@ pub(crate) fn compute_router(
         // Winner: highest priority class, round-robin within it. The
         // lexicographic key picks the best-priority candidate closest
         // after the round-robin pointer.
-        let rr = out.rr_sa[oi];
-        let Some(winner) = candidates
-            .iter()
-            .min_by_key(|c| {
-                let flat_in = c.0 * vcs + c.1;
-                (c.3, (flat_in + ports * vcs - rr) % (ports * vcs))
-            })
-            .copied()
-        else {
+        let rr = router.rr_sa[oi];
+        let Some(winner) = candidates().min_by_key(|c| {
+            let flat_in = flat(c.port, c.vc);
+            (c.prio, (flat_in + ports * vcs - rr) % (ports * vcs))
+        }) else {
             continue;
         };
-        out.rr_sa[oi] = (winner.0 * vcs + winner.1 + 1) % (ports * vcs);
         // Everyone else idles: these are DISCO's compression candidates.
-        for c in candidates.iter() {
-            if (c.0, c.1) != (winner.0, winner.1) {
-                out.sa_losers.push((c.0, c.1));
+        for c in candidates() {
+            if (c.port, c.vc) != (winner.port, winner.vc) {
+                out.sa_losers.push((c.port, c.vc));
                 disco_trace::emit!(
                     out.events,
                     disco_trace::Event::VcStall {
-                        packet: router.inputs[flat(c.0, c.1)]
-                            .buffer
-                            .front()
-                            .map_or(0, |f| f.packet.0),
+                        packet: c.flit.packet.0,
                         node: router.node.0 as u16,
-                        port: c.0 as u8,
-                        vc: c.1 as u8,
+                        port: c.port as u8,
+                        vc: c.vc as u8,
                         reason: disco_trace::stall::LOST_ARBITRATION,
                     }
                 );
             }
         }
-        let (port, v, out_vc, _) = winner;
-        let flit = match router.inputs[flat(port, v)].buffer.front() {
-            Some(f) => *f,
-            None => {
-                // A candidate was admitted above only with a ready front
-                // flit; an empty buffer here is unreachable.
-                debug_assert!(false, "SA winner lost its front flit");
-                continue;
-            }
-        };
-        if flit.kind.is_tail() {
-            // Release the output VC and idle the input within this
-            // cycle's overlay (matters for the VA-loser sweep below).
-            alloc[flat(oi, out_vc)] = None;
-            state[flat(port, v)] = VcState::Idle;
-        }
+        let flit = winner.flit;
         // Traverse events only for head and tail flits: the head marks
         // the hop's start, the tail its departure time (what the
         // provenance pass consumes); body flits would only add volume.
@@ -398,41 +414,33 @@ pub(crate) fn compute_router(
         }
         out.departures.push(Departure {
             flit,
-            in_port: port,
-            in_vc: v,
+            in_port: winner.port,
+            in_vc: winner.vc,
             out: outdir,
-            out_vc,
+            out_vc: winner.out_vc,
         });
     }
 
     // VA losers also idle and are therefore compression candidates
     // (§3.2 step 1 collects losers of both VC and switch allocation).
-    for port in 0..ports {
-        for v in 0..vcs {
-            let vc = &router.inputs[flat(port, v)];
-            if vc.locked {
-                continue;
+    for &(port, v) in va_losers.iter() {
+        out.sa_losers.push((port, v));
+        disco_trace::emit!(
+            out.events,
+            disco_trace::Event::VcStall {
+                packet: router.inputs[flat(port, v)]
+                    .buffer
+                    .front()
+                    .map_or(0, |f| f.packet.0),
+                node: router.node.0 as u16,
+                port: port as u8,
+                vc: v as u8,
+                reason: disco_trace::stall::NO_FREE_VC,
             }
-            if let VcState::Routed(_) = state[flat(port, v)] {
-                if matches!(vc.buffer.front(), Some(f) if f.ready_at <= now) {
-                    out.sa_losers.push((port, v));
-                    disco_trace::emit!(
-                        out.events,
-                        disco_trace::Event::VcStall {
-                            packet: vc.buffer.front().map_or(0, |f| f.packet.0),
-                            node: router.node.0 as u16,
-                            port: port as u8,
-                            vc: v as u8,
-                            reason: disco_trace::stall::NO_FREE_VC,
-                        }
-                    );
-                }
-            }
-        }
+        );
     }
 
-    // Stat delta: everything the legacy loop counted inline, derived
-    // purely from the decisions above.
+    // Stat delta, derived purely from the decisions above.
     out.stats.sa_losses = out.sa_losers.len() as u64;
     if !out.departures.is_empty() {
         out.stats.arbitrations = 1;

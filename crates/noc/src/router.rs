@@ -6,9 +6,9 @@
 //! Per cycle the router performs route computation (RC) for new head
 //! flits, virtual-channel allocation (VA), and switch allocation (SA)
 //! with per-class priorities — all three stages run as the pure
-//! [`crate::phase::compute_router`] function over this struct's
-//! cycle-start snapshot, and the resulting action lists are applied by
-//! [`crate::commit`]. Pipeline depth is modelled by delaying a flit's
+//! `phase::compute_router` function over this struct's cycle-start
+//! snapshot, and the resulting action lists are applied by the `commit`
+//! pass. Pipeline depth is modelled by delaying a flit's
 //! readiness after each hop. Credit-based backpressure tracks the free
 //! slots of each downstream virtual channel.
 
@@ -115,9 +115,9 @@ impl Vc {
 }
 
 /// A router of any topology. Fields are crate-visible so the pure
-/// compute phase ([`crate::phase`]) can snapshot them and the commit
-/// pass ([`crate::commit`]) can apply action lists; everything else
-/// goes through the public accessors.
+/// compute phase (`phase`) can snapshot them and the commit pass
+/// (`commit`) can apply action lists; everything else goes through the
+/// public accessors.
 #[derive(Debug, Clone)]
 pub struct Router {
     pub(crate) node: NodeId,

@@ -1,8 +1,9 @@
 //! Pins the zero-allocation contract of the cycle kernel: once the
 //! per-shard arenas have reached their high-water capacity, a
 //! steady-state [`Network::tick`] performs **no** heap allocation — no
-//! per-router outcome vectors, no RC/VA/SA candidate lists, no per-flit
-//! `flits_for` buffers.
+//! per-router outcome vectors, no RC/VA/SA request or loser lists, no
+//! per-flit `flits_for` buffers, also while packets contend for an
+//! output.
 //!
 //! The measurement uses a counting global allocator gated by a
 //! thread-local flag, so only allocations made *by this test's thread
@@ -16,7 +17,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use disco_compress::CacheLine;
-use disco_noc::{Mesh, Network, NocConfig, NodeId, PacketClass, Payload, Ring};
+use disco_noc::{FlowControl, Mesh, Network, NocConfig, NodeId, PacketClass, Payload, Ring};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -52,56 +53,89 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Drives one warm-up response from node 0 to `dst` so every router's
-/// outcome slot, candidate arena, and VC deque reaches capacity, then
-/// measures a second identical response mid-flight: ticks inside the
-/// window must allocate exactly nothing.
-fn assert_steady_state_allocates_nothing(name: &str, net: &mut Network, dst: NodeId) {
-    let line = CacheLine::from_u64_words([1, 2, 3, 4, 5, 6, 7, 8]);
+/// Sends one burst of responses (`(src, dst)` tile pairs) at the current
+/// cycle.
+fn send_burst(net: &mut Network, burst: &[(usize, usize)], line: CacheLine) {
+    for (tag, &(src, dst)) in burst.iter().enumerate() {
+        net.send(
+            NodeId(src),
+            NodeId(dst),
+            PacketClass::Response,
+            Payload::Raw(line),
+            true,
+            tag as u64,
+        );
+    }
+}
 
-    // Warm-up flight. Record the flight time so the measurement window
-    // below can be sized to end strictly before the second packet's
-    // delivery (the delivered-queue push is bookkeeping outside the
-    // kernel contract).
-    net.send(
-        NodeId(0),
-        dst,
-        PacketClass::Response,
-        Payload::Raw(line),
-        true,
-        0,
-    );
-    let mut flight_ticks = 0u32;
-    let mut arrived = 0;
-    for _ in 0..600 {
+/// Ticks until every packet of the burst has arrived; returns the
+/// cycles to the first arrival and the arrived packets' payloads.
+fn drain_burst(name: &str, net: &mut Network, burst: &[(usize, usize)]) -> (u32, Vec<Payload>) {
+    let mut first_arrival = None;
+    let mut got = Vec::new();
+    for tick in 1..=2000u32 {
         net.tick();
-        flight_ticks += 1;
-        arrived += net.take_delivered(dst).len();
-        if arrived == 1 {
+        for &(_, dst) in burst {
+            got.extend(
+                net.take_delivered(NodeId(dst))
+                    .into_iter()
+                    .map(|p| p.payload),
+            );
+        }
+        if !got.is_empty() {
+            first_arrival.get_or_insert(tick);
+        }
+        if got.len() == burst.len() {
             break;
         }
     }
-    assert_eq!(arrived, 1, "{name}: warm-up packet must arrive");
-    assert!(net.is_idle(), "{name}: warm-up packet must drain");
-    assert!(flight_ticks > 8, "{name}: flight time too short to measure");
-
-    // Second packet, same route — the run is deterministic, so it takes
-    // exactly `flight_ticks` again. `send` itself may allocate (packet
-    // store insert); that's outside the window.
-    net.send(
-        NodeId(0),
-        dst,
-        PacketClass::Response,
-        Payload::Raw(line),
-        true,
-        1,
+    assert_eq!(
+        got.len(),
+        burst.len(),
+        "{name}: every burst packet must arrive"
     );
+    assert!(net.is_idle(), "{name}: the burst must drain");
+    (first_arrival.unwrap_or(0), got)
+}
+
+/// Drives the burst twice to warm up, so every router's outcome slot,
+/// per-output request list, loser list and VC deque reaches capacity,
+/// then measures a third identical burst mid-flight: ticks inside the
+/// window must allocate exactly nothing. With `contended`, the window
+/// must also see switch-allocation losers, so the loser and request
+/// paths are the ones measured.
+fn assert_steady_state_allocates_nothing(
+    name: &str,
+    net: &mut Network,
+    burst: &[(usize, usize)],
+    contended: bool,
+) {
+    let line = CacheLine::from_u64_words([1, 2, 3, 4, 5, 6, 7, 8]);
+
+    // Warm-up flights. Record the time to the first arrival so the
+    // measurement window below can be sized to end strictly before the
+    // measured burst's first delivery (the delivered-queue push is
+    // bookkeeping outside the kernel contract).
+    let mut first_arrival = u32::MAX;
+    for _ in 0..2 {
+        send_burst(net, burst, line);
+        first_arrival = first_arrival.min(drain_burst(name, net, burst).0);
+    }
+    assert!(
+        first_arrival > 8,
+        "{name}: flight time too short to measure"
+    );
+
+    // The measured burst, same routes. `send` itself may allocate
+    // (packet store insert); that's outside the window.
+    send_burst(net, burst, line);
     net.tick();
     net.tick();
 
+    let losses_before = net.stats().sa_losses;
     COUNTING.with(|c| c.set(true));
     let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..flight_ticks / 2 {
+    for _ in 0..first_arrival / 2 {
         net.tick();
     }
     let after = ALLOCS.load(Ordering::Relaxed);
@@ -111,31 +145,53 @@ fn assert_steady_state_allocates_nothing(name: &str, net: &mut Network, dst: Nod
         0,
         "{name}: steady-state ticks must not touch the heap"
     );
-
-    // The measured packet still arrives intact.
-    let mut got = Vec::new();
-    for _ in 0..600 {
-        net.tick();
-        got.extend(net.take_delivered(dst));
-        if !got.is_empty() {
-            break;
-        }
+    if contended {
+        assert!(
+            net.stats().sa_losses > losses_before,
+            "{name}: the window must see allocation losers"
+        );
     }
-    assert_eq!(got.len(), 1, "{name}");
-    match &got[0].payload {
-        Payload::Raw(l) => assert_eq!(*l, line),
-        other => panic!("{name}: expected raw payload, got {other:?}"),
+
+    // The measured packets still arrive intact.
+    let (_, got) = drain_burst(name, net, burst);
+    for payload in got {
+        match payload {
+            Payload::Raw(l) => assert_eq!(l, line, "{name}"),
+            other => panic!("{name}: expected raw payload, got {other:?}"),
+        }
     }
 }
 
-/// A 16x1 mesh line and a 16-node ring (low-buffer router parameters):
-/// the zero-alloc contract is topology-independent, so both substrates
-/// get the same mid-flight window.
+/// A 16x1 mesh line and a 16-node ring (low-buffer router parameters)
+/// each carry one uncontended packet: the zero-alloc contract is
+/// topology-independent, so both substrates get the same mid-flight
+/// window. On a 4x4 mesh, the four tiles of row 0 and two tiles of
+/// column 0 then send to the far corner at once, so their packets
+/// compete for the eastward and southward outputs and the ejection
+/// port: the window runs the per-output SA request lists, arbitration
+/// and credit losers and VA losers, under wormhole and under virtual
+/// cut-through.
 #[test]
 fn steady_state_cycles_allocate_nothing() {
     let mut mesh = Network::new(Mesh::new(16, 1), NocConfig::default());
-    assert_steady_state_allocates_nothing("mesh 16x1", &mut mesh, NodeId(15));
+    assert_steady_state_allocates_nothing("mesh 16x1", &mut mesh, &[(0, 15)], false);
 
     let mut ring = Network::new(Ring::new(16), NocConfig::low_buffer_ring());
-    assert_steady_state_allocates_nothing("ring 16", &mut ring, NodeId(8));
+    assert_steady_state_allocates_nothing("ring 16", &mut ring, &[(0, 8)], false);
+
+    let contention = [(0, 15), (1, 15), (2, 15), (3, 15), (4, 15), (8, 15)];
+    for (name, flow_control) in [
+        ("mesh 4x4 contended", FlowControl::Wormhole),
+        ("mesh 4x4 contended vct", FlowControl::VirtualCutThrough),
+    ] {
+        // Two VCs per class group: two packets can hold output VCs of
+        // one port at once and then compete in SA, not only in VA.
+        let config = NocConfig {
+            vcs: 4,
+            flow_control,
+            ..NocConfig::default()
+        };
+        let mut net = Network::new(Mesh::new(4, 4), config);
+        assert_steady_state_allocates_nothing(name, &mut net, &contention, true);
+    }
 }

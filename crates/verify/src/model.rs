@@ -15,7 +15,7 @@
 //!   at any time, so the explorer's interleavings cover all reorderings
 //!   the multi-VC NoC could produce.
 //!
-//! [`explorer::explore`] walks every interleaving up to a bound and
+//! [`crate::explorer::explore`] walks every interleaving up to a bound and
 //! checks, in each reachable state: the single-writer invariant, copy
 //! accounting, bank freshness (outside the explicitly tracked
 //! stale-writeback window), value-domain soundness (no fabricated data),

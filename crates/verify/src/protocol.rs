@@ -287,7 +287,7 @@ const DOCUMENTED_CYCLES: &[&[&str]] = &[&["Invalidate", "Writeback"]];
 ///    lower group, Response owns the upper, nothing overlaps, and the
 ///    union covers every VC.
 /// 4. The op-level message-dependency graph ([`op_triggers`]) contains
-///    no cycle beyond [`DOCUMENTED_CYCLES`].
+///    no cycle beyond `DOCUMENTED_CYCLES`.
 /// 5. The CDG analysis itself reports the topology deadlock-free under
 ///    the config's routing and VC count — together with (3) and (4) this
 ///    is the full argument: each packet stays inside its class's VC
@@ -396,7 +396,7 @@ fn check_vc_groups(vcs: usize) -> Vec<String> {
 }
 
 /// Non-trivial strongly connected components (and self-loops) of the
-/// trigger graph that are not in [`DOCUMENTED_CYCLES`], as sorted op-name
+/// trigger graph that are not in `DOCUMENTED_CYCLES`, as sorted op-name
 /// lists. Exposed with an injectable trigger function so the mutation
 /// suite can prove a new cycle is caught.
 pub fn undocumented_cycles(triggers: fn(Op) -> &'static [Op]) -> Vec<Vec<String>> {

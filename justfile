@@ -1,7 +1,7 @@
 # Offline mirror of .github/workflows/ci.yml. `just ci` is the full gate.
 
 # Run the complete CI gate locally.
-ci: fmt-check clippy verify test
+ci: fmt-check clippy doc verify test
 
 # Check formatting without rewriting.
 fmt-check:
@@ -14,6 +14,10 @@ fmt:
 # Workspace lints, warnings denied.
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# API docs, warnings denied: a broken or private intra-doc link fails.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The disco-verify analysis suite: bounded protocol model checking,
 # credit-conservation proof, CDG deadlock freedom, MOESI exhaustiveness,
