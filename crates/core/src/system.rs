@@ -255,6 +255,9 @@ pub struct System {
     /// Trace capture state; `Some` exactly while the run captures a
     /// trace, in which case the network, banks and DRAM record events.
     trace: Option<TraceState>,
+    /// Reused buffer for one node's deliveries in [`System::tick`];
+    /// empty between ticks.
+    arrivals: Vec<Packet>,
 }
 
 impl System {
@@ -489,14 +492,17 @@ impl System {
             layer.tick(&mut self.net);
             self.disco = Some(layer);
         }
-        // Deliveries → events.
+        // Deliveries → events, through a buffer that keeps its capacity
+        // from tick to tick.
         let nodes = self.tiles.len();
+        let mut arrivals = std::mem::take(&mut self.arrivals);
         for node in 0..nodes {
-            let delivered = self.net.take_delivered(NodeId(node));
-            for pkt in delivered {
+            self.net.drain_delivered(NodeId(node), &mut arrivals);
+            for pkt in arrivals.drain(..) {
                 self.handle_delivery(node, pkt);
             }
         }
+        self.arrivals = arrivals;
         // Run due events (newly scheduled zero-delay events run this
         // cycle too).
         let now = self.now();
@@ -1517,6 +1523,7 @@ impl SimBuilder {
                 records: Vec::new(),
                 retain: self.retain_trace_records,
             }),
+            arrivals: Vec::new(),
         }
     }
 }

@@ -4,9 +4,13 @@
 //! [`commit_cycle`] applies every router's [`RouterOutcome`] in fixed
 //! node order — local allocation state first, then the cross-router
 //! effects of each departure (upstream credit return, link delivery,
-//! ejection) and the stat delta. Outcomes live in per-shard slots, but
-//! shards own *contiguous* node ranges, so walking the slots in shard
-//! order with a running node counter **is** node order `0..n`. Because
+//! ejection). The outcome carries no counters: the router's stat delta
+//! is derived here from its loser list and departures, the same facts
+//! the compute phase decided, each departure counted before the fault
+//! hook may eat it, and a quiet router costs no stat work at all.
+//! Outcomes live in per-shard slots, but shards own *contiguous* node
+//! ranges, so walking the slots in shard order with a running node
+//! counter **is** node order `0..n`. Because
 //! the outcomes were computed from the cycle-start snapshot, the
 //! committed state is identical no matter how the compute phase was
 //! scheduled, which is what keeps every shard count byte-exact.
@@ -16,7 +20,7 @@
 //! write a router's internal fields.
 
 use crate::network::{Network, ShardSlot};
-use crate::phase::RouterOutcome;
+use crate::phase::{Departure, RouterOutcome};
 use crate::router::{Router, VcState};
 use crate::topology::{NodeId, PortId};
 use std::sync::Mutex;
@@ -55,9 +59,58 @@ pub(crate) fn commit_router_local(router: &mut Router, outcome: &RouterOutcome) 
     router.sa_losers.extend_from_slice(&outcome.sa_losers);
 }
 
+/// Adds one departure's share of its router's stat delta to the
+/// network counters; `linked` tells whether a link leaves through its
+/// output. Runs before the fault hook sees the departure: a delivered
+/// packet's latency, hops and class are read from the store, which a
+/// failed ejection check removes it from.
+fn count_departure(net: &mut Network, dep: &Departure, linked: bool) {
+    let Network {
+        stats,
+        store,
+        topology,
+        now,
+        ..
+    } = net;
+    stats.buffer_reads += 1;
+    stats.crossbar_flits += 1;
+    if topology.is_local(dep.out) {
+        if dep.flit.kind.is_tail() {
+            let pkt = store.get(dep.flit.packet);
+            stats.packets_delivered += 1;
+            let latency = *now - pkt.injected_at;
+            stats.total_packet_latency += latency;
+            stats.total_hops += topology.hops(pkt.src, pkt.dst) as u64;
+            let ci = crate::stats::class_index(pkt.class);
+            stats.delivered_by_class[ci] += 1;
+            stats.latency_by_class[ci] += latency;
+        }
+    } else if linked {
+        // Express traversals are priced separately (longer wire); the
+        // buffer write at the far end costs the same either way.
+        if topology.express_span() > 0
+            && matches!(
+                dep.out,
+                crate::topology::EXPRESS_EAST | crate::topology::EXPRESS_WEST
+            )
+        {
+            stats.express_link_flits += 1;
+        } else {
+            stats.link_flits += 1;
+        }
+        stats.buffer_writes += 1;
+    } else {
+        // The departure loop drops this flit (no link to corrupt); the
+        // counter keeps the conservation bug visible in release builds
+        // where the debug assertion is compiled out.
+        stats.routing_violations += 1;
+    }
+}
+
 /// Applies one node's outcome: local state, then the cross-router
-/// effects (credit returns upstream, link deliveries with the pipeline
-/// delay stamped in, ejections) and the stat merge.
+/// effects of each departure (credit returns upstream, link deliveries
+/// with the pipeline delay stamped in, ejections), with the stat delta
+/// derived along the way.
 fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
     // A router that decided nothing has no state to change and a zero
     // stat delta; only last cycle's losers go stale.
@@ -66,6 +119,10 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
         return;
     }
     let now = net.now;
+    net.stats.sa_losses += outcome.sa_losers.len() as u64;
+    if !outcome.departures.is_empty() {
+        net.stats.arbitrations += 1;
+    }
     commit_router_local(&mut net.routers[i], outcome);
     // Cycle-stamp this router's compute-phase events here, in node
     // order: the trace byte-stream is then independent of how the
@@ -82,6 +139,8 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
                 net.routers[up.0].return_credit(up_out, dep.in_vc);
             }
         }
+        let link = net.topology.out_link(NodeId(i), dep.out);
+        count_departure(net, dep, link.is_some());
         // Fault hook: an injected drop (or a failed ejection-time
         // integrity check) eats the flit here — after the upstream
         // credit return, instead of link delivery or ejection.
@@ -104,11 +163,11 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
                 );
             }
         } else {
-            let Some((next, next_in)) = net.topology.out_link(NodeId(i), dep.out) else {
+            let Some((next, next_in)) = link else {
                 // All supported routing functions are minimal and stay
                 // on live links; dropping the flit here beats
-                // corrupting a router that isn't connected. The
-                // compute phase counted it in routing_violations.
+                // corrupting a router that isn't connected.
+                // `count_departure` counted it in routing_violations.
                 debug_assert!(false, "node {i} routed {:?} onto a dead port", dep.out);
                 continue;
             };
@@ -117,7 +176,6 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
             net.routers[next.0].accept(next_in.0, dep.out_vc, flit);
         }
     }
-    net.stats.accumulate(&outcome.stats);
     if let Some(ctx) = net.faults.as_mut() {
         ctx.stats.port_stall_cycles += outcome.fault_port_stalls;
     }

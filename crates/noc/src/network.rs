@@ -344,11 +344,26 @@ impl Network {
         id
     }
 
+    /// Appends the packets fully delivered at tile `node` since the last
+    /// drain to `out`, in delivery order, removing them from the store.
+    /// The tile's id buffer keeps its capacity, so a caller that reuses
+    /// `out` drains every cycle without allocating.
+    pub fn drain_delivered(&mut self, node: NodeId, out: &mut Vec<Packet>) {
+        let ids = &mut self.delivered[node.0];
+        if ids.is_empty() {
+            return;
+        }
+        let store = &mut self.store;
+        out.extend(ids.drain(..).map(|id| store.remove(id)));
+    }
+
     /// Packets fully delivered at tile `node` since the last call,
-    /// removed from the store.
+    /// removed from the store: [`Network::drain_delivered`] into a fresh
+    /// `Vec`.
     pub fn take_delivered(&mut self, node: NodeId) -> Vec<Packet> {
-        let ids = std::mem::take(&mut self.delivered[node.0]);
-        ids.into_iter().map(|id| self.store.remove(id)).collect()
+        let mut out = Vec::new();
+        self.drain_delivered(node, &mut out);
+        out
     }
 
     /// True when no packet is queued, in flight, or awaiting pickup, and

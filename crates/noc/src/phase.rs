@@ -5,8 +5,11 @@
 //! start of the cycle, and writes the decisions as typed action lists
 //! into a caller-provided [`RouterOutcome`]. It mutates no router state.
 //!
-//! One classification pass walks the input VCs in `(port, vc)` order.
-//! An `Idle` VC with a ready head flit is routed (RC), a `Routed` VC
+//! One classification pass walks the non-empty input VCs in
+//! `(port, vc)` order, found from the router's occupancy bitset, and
+//! decides each from its one-line header (state, lock bit and a copy
+//! of the front flit; see [`crate::router`]) without touching the flit
+//! ring. An `Idle` VC with a ready head flit is routed (RC), a `Routed` VC
 //! bids for an output VC (VA), and an `Active` VC with a ready,
 //! unlocked front flit is filed as a switch request under its output
 //! port. Within-cycle dependencies need no overlay of the router's
@@ -33,10 +36,9 @@
 //! commit pass ([`crate::commit`]), in fixed node order.
 
 use crate::config::FlowControl;
-use crate::packet::{Flit, PacketClass, PacketId, PacketStore, Payload};
+use crate::packet::{Flit, Packet, PacketClass, PacketStore, Payload};
 use crate::router::{Router, VcState};
 use crate::routing::{output_vc_range, route};
-use crate::stats::NetworkStats;
 use crate::topology::{PortId, Topology};
 
 /// A flit leaving a router this cycle, to be applied by the commit pass.
@@ -49,11 +51,12 @@ pub(crate) struct Departure {
     pub out_vc: usize,
 }
 
-/// Everything one router decided in one cycle's compute phase: typed
-/// action lists plus this router's stat delta. The commit pass applies
-/// the lists in node order; nothing here aliases router state. Outcomes
-/// are arena-owned and reused across cycles — [`RouterOutcome::reset`]
-/// clears contents while keeping every allocation.
+/// Everything one router decided in one cycle's compute phase, as typed
+/// action lists. The commit pass applies them in node order and derives
+/// the router's stat delta from the departures and losers; nothing here
+/// aliases router state. Outcomes are arena-owned and reused across
+/// cycles — [`RouterOutcome::reset`] clears contents while keeping every
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouterOutcome {
     /// RC results: `(in_port, in_vc, out_port)` — the VC becomes `Routed`.
@@ -68,8 +71,6 @@ pub(crate) struct RouterOutcome {
     pub departures: Vec<Departure>,
     /// This cycle's allocation losers (the DISCO compression candidates).
     pub sa_losers: Vec<(usize, usize)>,
-    /// This router's contribution to the network counters this cycle.
-    pub stats: NetworkStats,
     /// Trace events decided this cycle, in stage order. Carried out of
     /// the pure compute phase and cycle-stamped by the commit pass in
     /// node order, which keeps the trace shard-count invariant.
@@ -90,7 +91,6 @@ impl RouterOutcome {
         self.grants.clear();
         self.departures.clear();
         self.sa_losers.clear();
-        self.stats = NetworkStats::new();
         self.events.clear();
         self.events.set_tracing(tracing);
         self.fault_port_stalls = 0;
@@ -99,7 +99,8 @@ impl RouterOutcome {
     /// True when the router decided nothing this cycle: no route, grant,
     /// departure, loser, event or forfeited arbitration round. Its stat
     /// delta is then zero too, so committing it only clears the
-    /// router's loser list.
+    /// router's loser list, and an empty router's compute leaves such
+    /// an outcome as it is.
     pub(crate) fn is_quiet(&self) -> bool {
         self.routes.is_empty()
             && self.grants.is_empty()
@@ -139,8 +140,7 @@ pub(crate) struct ComputeScratch {
 }
 
 /// Priority class for switch allocation (§3.3-B): lower wins.
-fn sa_priority(router: &Router, store: &PacketStore, packet: PacketId) -> u8 {
-    let pkt = store.get(packet);
+fn sa_priority(router: &Router, pkt: &Packet) -> u8 {
     let policy = router.config.scheduling;
     if policy.demote_uncompressed
         && pkt.compressible
@@ -175,12 +175,16 @@ pub(crate) fn compute_router(
     scratch: &mut ComputeScratch,
     out: &mut RouterOutcome,
 ) {
-    out.reset(gate.tracing);
     // Idle fast path: with no buffered flit there is nothing to classify.
-    // On big meshes most routers are idle most cycles; skip them outright.
+    // On big meshes most routers are idle most cycles; skip them
+    // outright, and leave an outcome that is already quiet untouched.
     if router.total_buffered() == 0 {
+        if !out.is_quiet() {
+            out.reset(gate.tracing);
+        }
         return;
     }
+    out.reset(gate.tracing);
     let vcs = router.config.vcs;
     let ports = router.ports;
     let flat = |port: usize, v: usize| port * vcs + v;
@@ -196,24 +200,29 @@ pub(crate) fn compute_router(
     }
     va_losers.clear();
 
-    // Classification pass, in (port, vc) order: RC and VA run in the
-    // visit that finds them eligible, and every VC that ends the visit
-    // `Active` with a ready, unlocked front flit files a switch request.
-    for port in 0..ports {
-        for v in 0..vcs {
-            let vc = &router.inputs[flat(port, v)];
-            // An empty VC has nothing to route, allocate or send.
-            let Some(&front) = vc.buffer.front() else {
-                continue;
-            };
+    // Classification pass over the non-empty VCs, in (port, vc) order:
+    // the occupancy bitset's set bits ascend in flat index. RC and VA
+    // run in the visit that finds them eligible, and every VC that ends
+    // the visit `Active` with a ready, unlocked front flit files a
+    // switch request. Each visit reads only the VC's header.
+    for (word_index, &word) in router.occupied.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let i = word_index * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let (port, v) = (i / vcs, i % vcs);
+            let vc = &router.inputs[i];
+            let front = vc.front;
             let ready = front.ready_at <= now;
             let mut state = vc.state;
+            // The front packet, looked up at most once per visit.
+            let mut packet: Option<&Packet> = None;
             // RC: a fresh head flit gets its output port.
             if state == VcState::Idle {
                 if !(front.kind.is_head() && ready) {
                     continue;
                 }
-                let pkt = store.get(front.packet);
+                let pkt = *packet.insert(store.get(front.packet));
                 let group = class_vcs(router, pkt.class);
                 let dir = route(
                     router.config.routing,
@@ -247,7 +256,7 @@ pub(crate) fn compute_router(
             }
             // VA: acquire the class VC on the output port.
             if let VcState::Routed(dir) = state {
-                let pkt = store.get(front.packet);
+                let pkt = *packet.get_or_insert_with(|| store.get(front.packet));
                 // Acquire any free VC of the class group on the output
                 // port, narrowed by the topology's dateline discipline
                 // (identity on the mesh; low/high half-groups on the
@@ -303,13 +312,14 @@ pub(crate) fn compute_router(
             } else if router.config.flow_control == FlowControl::StoreAndForward
                 && front.kind.is_head()
                 && !front.kind.is_tail()
-                && !vc.has_tail_of(front.packet)
+                && !router.vc_at(i).has_tail_of(front.packet)
             {
                 // SAF: the whole packet must be buffered before the head
                 // may leave; until then the VC neither bids nor loses.
                 continue;
             } else {
-                Some(sa_priority(router, store, front.packet))
+                let pkt = packet.unwrap_or_else(|| store.get(front.packet));
+                Some(sa_priority(router, pkt))
             };
             if let Some(list) = requests.get_mut(o.0) {
                 list.push(Request {
@@ -428,56 +438,12 @@ pub(crate) fn compute_router(
         disco_trace::emit!(
             out.events,
             disco_trace::Event::VcStall {
-                packet: router.inputs[flat(port, v)]
-                    .buffer
-                    .front()
-                    .map_or(0, |f| f.packet.0),
+                packet: router.inputs[flat(port, v)].front.packet.0,
                 node: router.node.0 as u16,
                 port: port as u8,
                 vc: v as u8,
                 reason: disco_trace::stall::NO_FREE_VC,
             }
         );
-    }
-
-    // Stat delta, derived purely from the decisions above.
-    out.stats.sa_losses = out.sa_losers.len() as u64;
-    if !out.departures.is_empty() {
-        out.stats.arbitrations = 1;
-    }
-    for dep in &out.departures {
-        out.stats.buffer_reads += 1;
-        out.stats.crossbar_flits += 1;
-        if router.is_local_port(dep.out) {
-            if dep.flit.kind.is_tail() {
-                let pkt = store.get(dep.flit.packet);
-                out.stats.packets_delivered += 1;
-                let latency = now - pkt.injected_at;
-                out.stats.total_packet_latency += latency;
-                out.stats.total_hops += topo.hops(pkt.src, pkt.dst) as u64;
-                let ci = crate::stats::class_index(pkt.class);
-                out.stats.delivered_by_class[ci] += 1;
-                out.stats.latency_by_class[ci] += latency;
-            }
-        } else if topo.out_link(router.node, dep.out).is_some() {
-            // Express traversals are priced separately (longer wire);
-            // the buffer write at the far end costs the same either way.
-            if topo.express_span() > 0
-                && matches!(
-                    dep.out,
-                    crate::topology::EXPRESS_EAST | crate::topology::EXPRESS_WEST
-                )
-            {
-                out.stats.express_link_flits += 1;
-            } else {
-                out.stats.link_flits += 1;
-            }
-            out.stats.buffer_writes += 1;
-        } else {
-            // The commit pass drops this flit (no link to corrupt);
-            // the counter keeps the conservation bug visible in release
-            // builds where the debug assertion is compiled out.
-            out.stats.routing_violations += 1;
-        }
     }
 }

@@ -11,11 +11,23 @@
 //! pass. Pipeline depth is modelled by delaying a flit's
 //! readiness after each hop. Credit-based backpressure tracks the free
 //! slots of each downstream virtual channel.
+//!
+//! **Storage.** All input buffers of a router share one flit ring of
+//! `ports · vcs · depth` slots; VC `i` uses its own `depth` slots
+//! circularly. Each VC has a one-cache-line header (`VcHeader`)
+//! holding its ring offset and length, its allocation state, the DISCO
+//! lock bit and a copy of its front flit, and an occupancy bitset marks
+//! the non-empty VCs. The compute phase therefore visits
+//! only non-empty VCs and decides each from its header alone; the ring
+//! is read only to pop, reshape, or scan a VC's whole contents.
+//! [`Router::vc`] hands out a borrowed [`Vc`] view over one header and
+//! its ring slots, and `Router`'s `Debug` text prints the buffers it
+//! models, not the storage.
 
 use crate::config::NocConfig;
-use crate::packet::{Flit, PacketId};
+use crate::packet::{Flit, FlitKind, PacketId};
 use crate::topology::{NodeId, PortId};
-use std::collections::VecDeque;
+use std::fmt;
 
 /// Progress of one input virtual channel's front packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,47 +40,98 @@ pub(crate) enum VcState {
     Active { out: PortId, out_vc: usize },
 }
 
-/// One input virtual channel.
-#[derive(Debug, Clone)]
-pub struct Vc {
-    pub(crate) buffer: VecDeque<Flit>,
+/// One input virtual channel's header: where its flits sit in the
+/// router's flit ring, its allocation state, the DISCO lock bit, and a
+/// copy of its front flit. Exactly one cache line, so the compute phase
+/// decides a VC from one load instead of chasing the ring.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+pub(crate) struct VcHeader {
+    /// Copy of the ring's front flit; meaningful only while `len > 0`.
+    pub(crate) front: Flit,
     pub(crate) state: VcState,
+    /// Ring offset of the front flit within this VC's `depth` slots.
+    head: u32,
+    /// Buffered flit count.
+    len: u32,
     /// DISCO shadow-invalid bit: a locked VC is under committed in-network
     /// de/compression and is excluded from switch allocation (§3.2 step 3).
     pub(crate) locked: bool,
 }
 
-impl Vc {
-    /// Builds an empty VC with its buffer storage preallocated to the
-    /// configured depth, so steady-state flit acceptance never grows the
-    /// deque (the zero-allocation hot-loop contract).
-    fn with_depth(depth: usize) -> Self {
-        Vc {
-            buffer: VecDeque::with_capacity(depth),
-            state: VcState::Idle,
-            locked: false,
-        }
+const _: () = assert!(std::mem::size_of::<VcHeader>() == 64);
+
+/// A flit that fills unused ring slots; never read as buffer content.
+const EMPTY_SLOT: Flit = Flit {
+    packet: PacketId(0),
+    kind: FlitKind::Body,
+    ready_at: 0,
+};
+
+impl VcHeader {
+    const EMPTY: VcHeader = VcHeader {
+        front: EMPTY_SLOT,
+        state: VcState::Idle,
+        head: 0,
+        len: 0,
+        locked: false,
+    };
+
+    /// Buffered flit count.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+}
+
+/// A borrowed view of one input virtual channel: its header plus its
+/// `depth` slots of the router's flit ring.
+#[derive(Clone, Copy)]
+pub struct Vc<'a> {
+    header: &'a VcHeader,
+    slots: &'a [Flit],
+}
+
+impl<'a> Vc<'a> {
+    /// The buffered flits in queue order, as the ring's two runs.
+    fn runs(self) -> (&'a [Flit], &'a [Flit]) {
+        let head = self.header.head as usize;
+        let end = (head + self.header.len()).min(self.slots.len());
+        let wrapped = self.header.len() - (end - head);
+        (&self.slots[head..end], &self.slots[..wrapped])
+    }
+
+    /// The buffered flits, front first.
+    pub(crate) fn flits(self) -> impl Iterator<Item = &'a Flit> {
+        let (first, second) = self.runs();
+        first.iter().chain(second)
+    }
+
+    /// The front packet's progress through RC and VA.
+    #[cfg(test)]
+    pub(crate) fn state(self) -> VcState {
+        self.header.state
     }
 
     /// Packet at the front of the buffer, if any.
-    pub fn front_packet(&self) -> Option<PacketId> {
-        self.buffer.front().map(|f| f.packet)
+    pub fn front_packet(self) -> Option<PacketId> {
+        (self.header.len > 0).then_some(self.header.front.packet)
     }
 
     /// Buffered flit count.
-    pub fn occupancy(&self) -> usize {
-        self.buffer.len()
+    pub fn occupancy(self) -> usize {
+        self.header.len()
     }
 
     /// True if the DISCO shadow lock is set.
-    pub fn is_locked(&self) -> bool {
-        self.locked
+    pub fn is_locked(self) -> bool {
+        self.header.locked
     }
 
     /// The output port this VC's front packet is routed toward, once RC
     /// has run.
-    pub fn routed_port(&self) -> Option<PortId> {
-        match self.state {
+    pub fn routed_port(self) -> Option<PortId> {
+        match self.header.state {
             VcState::Idle => None,
             VcState::Routed(p) => Some(p),
             VcState::Active { out, .. } => Some(out),
@@ -76,34 +139,32 @@ impl Vc {
     }
 
     /// True if the tail flit of `packet` is buffered here.
-    pub fn has_tail_of(&self, packet: PacketId) -> bool {
-        self.buffer
-            .iter()
-            .any(|f| f.packet == packet && f.kind.is_tail())
+    pub fn has_tail_of(self, packet: PacketId) -> bool {
+        self.flits().any(|f| f.packet == packet && f.kind.is_tail())
     }
 
     /// True if the front flit is the head of its packet (the packet has
     /// not started leaving — a precondition for in-network compression).
-    pub fn front_is_head(&self) -> bool {
-        self.buffer.front().is_some_and(|f| f.kind.is_head())
+    pub fn front_is_head(self) -> bool {
+        self.header.len > 0 && self.header.front.kind.is_head()
     }
 
     /// Buffered flit count belonging to `packet`.
-    pub fn resident_of(&self, packet: PacketId) -> usize {
-        self.buffer.iter().filter(|f| f.packet == packet).count()
+    pub fn resident_of(self, packet: PacketId) -> usize {
+        self.flits().filter(|f| f.packet == packet).count()
     }
 
     /// Distinct packets resident in this buffer, in queue order.
-    pub fn resident_packets(&self) -> Vec<PacketId> {
+    pub fn resident_packets(self) -> Vec<PacketId> {
         self.resident_packets_iter().collect()
     }
 
     /// Iterator form of [`resident_packets`](Self::resident_packets) —
     /// the candidate-scan hot loop uses this to avoid a per-VC
     /// allocation.
-    pub fn resident_packets_iter(&self) -> impl Iterator<Item = PacketId> + '_ {
+    pub fn resident_packets_iter(self) -> impl Iterator<Item = PacketId> + 'a {
         let mut prev: Option<PacketId> = None;
-        self.buffer.iter().filter_map(move |f| {
+        self.flits().filter_map(move |f| {
             if prev == Some(f.packet) {
                 None
             } else {
@@ -114,11 +175,28 @@ impl Vc {
     }
 }
 
+/// Prints the VC as the buffer, state and lock it models.
+impl fmt::Debug for Vc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Buffer<'a>(Vc<'a>);
+        impl fmt::Debug for Buffer<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.flits()).finish()
+            }
+        }
+        f.debug_struct("Vc")
+            .field("buffer", &Buffer(*self))
+            .field("state", &self.header.state)
+            .field("locked", &self.header.locked)
+            .finish()
+    }
+}
+
 /// A router of any topology. Fields are crate-visible so the pure
 /// compute phase (`phase`) can snapshot them and the commit pass
 /// (`commit`) can apply action lists; everything else goes through the
 /// public accessors.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Router {
     pub(crate) node: NodeId,
     pub(crate) config: NocConfig,
@@ -128,10 +206,17 @@ pub struct Router {
     /// Ports `0..link_ports` face other routers; `link_ports..ports`
     /// are local NI ports with unbounded ejection credits.
     pub(crate) link_ports: usize,
-    /// Input VCs in struct-of-arrays layout, flattened `port * vcs + vc`.
-    /// One contiguous allocation keeps the compute phase's inner loops on
-    /// a single cache-friendly array instead of chasing per-port Vecs.
-    pub(crate) inputs: Vec<Vc>,
+    /// Input VC headers, flattened `port * vcs + vc`: one cache line
+    /// each, in one contiguous allocation.
+    pub(crate) inputs: Vec<VcHeader>,
+    /// The router's flit ring: input VC `i` owns the `buffer_depth`
+    /// slots starting at `i * buffer_depth`, used circularly from its
+    /// header's `head`. Sized once at construction; never grows.
+    pub(crate) flits: Vec<Flit>,
+    /// Occupancy bitset over the flattened input VCs: bit `i` is set
+    /// exactly when VC `i` holds a flit, so the compute phase visits
+    /// only non-empty VCs, in `(port, vc)` order.
+    pub(crate) occupied: Vec<u64>,
     /// Which (in_port, in_vc) currently owns each output VC, flattened
     /// `out_port * vcs + out_vc`.
     pub(crate) out_alloc: Vec<Option<(usize, usize)>>,
@@ -149,15 +234,53 @@ pub struct Router {
     pub(crate) buffered: usize,
 }
 
+/// Prints the router as the per-VC buffers it models: the ring, the
+/// headers' ring positions and the occupancy bitset are storage detail
+/// and never appear.
+impl fmt::Debug for Router {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Inputs<'a>(&'a Router);
+        impl fmt::Debug for Inputs<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let r = self.0;
+                f.debug_list()
+                    .entries((0..r.inputs.len()).map(|i| r.vc_at(i)))
+                    .finish()
+            }
+        }
+        f.debug_struct("Router")
+            .field("node", &self.node)
+            .field("config", &self.config)
+            .field("ports", &self.ports)
+            .field("link_ports", &self.link_ports)
+            .field("inputs", &Inputs(self))
+            .field("out_alloc", &self.out_alloc)
+            .field("credits", &self.credits)
+            .field("rr_sa", &self.rr_sa)
+            .field("sa_losers", &self.sa_losers)
+            .field("buffered", &self.buffered)
+            .finish()
+    }
+}
+
+/// The `(word, mask)` of input VC `idx` in the occupancy bitset.
+#[inline]
+fn occupancy_bit(idx: usize) -> (usize, u64) {
+    (idx / 64, 1 << (idx % 64))
+}
+
 impl Router {
     pub(crate) fn new(node: NodeId, config: NocConfig, ports: usize, link_ports: usize) -> Self {
-        let inputs = (0..ports * config.vcs)
-            .map(|_| Vc::with_depth(config.buffer_depth))
-            .collect();
-        let out_alloc = vec![None; ports * config.vcs];
+        let depth = config.buffer_depth;
+        assert!(
+            u32::try_from(depth).is_ok(),
+            "buffer depth {depth} exceeds the VC header's ring offsets"
+        );
+        let n = ports * config.vcs;
+        let out_alloc = vec![None; n];
         // Local (ejection) outputs are modelled with unlimited credits;
         // inter-router outputs start with the full downstream buffer.
-        let mut credits = vec![config.buffer_depth; ports * config.vcs];
+        let mut credits = vec![depth; n];
         for port in link_ports..ports {
             for v in 0..config.vcs {
                 credits[port * config.vcs + v] = usize::MAX / 2;
@@ -168,11 +291,13 @@ impl Router {
             config,
             ports,
             link_ports,
-            inputs,
+            inputs: vec![VcHeader::EMPTY; n],
+            flits: vec![EMPTY_SLOT; n * depth],
+            occupied: vec![0; n.div_ceil(64)],
             out_alloc,
             credits,
             rr_sa: vec![0; ports],
-            sa_losers: Vec::with_capacity(ports * config.vcs),
+            sa_losers: Vec::with_capacity(n),
             buffered: 0,
         }
     }
@@ -181,6 +306,16 @@ impl Router {
     #[inline]
     pub(crate) fn idx(&self, port: usize, vc: usize) -> usize {
         port * self.config.vcs + vc
+    }
+
+    /// The view of input VC `idx` (flattened `port * vcs + vc`).
+    #[inline]
+    pub(crate) fn vc_at(&self, idx: usize) -> Vc<'_> {
+        let depth = self.config.buffer_depth;
+        Vc {
+            header: &self.inputs[idx],
+            slots: &self.flits[idx * depth..(idx + 1) * depth],
+        }
     }
 
     /// The node this router serves.
@@ -208,8 +343,8 @@ impl Router {
     /// # Panics
     ///
     /// Panics if `port`/`vc` are out of range.
-    pub fn vc(&self, port: usize, vc: usize) -> &Vc {
-        &self.inputs[self.idx(port, vc)]
+    pub fn vc(&self, port: usize, vc: usize) -> Vc<'_> {
+        self.vc_at(self.idx(port, vc))
     }
 
     /// Free slots reported by the downstream router for `(out, vc)` — the
@@ -221,7 +356,7 @@ impl Router {
     /// Occupied slots of a local input VC — the complement of the
     /// `credit_out` signal this router sends upstream.
     pub fn local_occupancy(&self, port: usize, vc: usize) -> usize {
-        self.inputs[self.idx(port, vc)].buffer.len()
+        self.inputs[self.idx(port, vc)].len()
     }
 
     /// Switch-allocation losers of the last cycle (input port, vc).
@@ -247,24 +382,43 @@ impl Router {
         let idx = self.idx(port, vc);
         let depth = self.config.buffer_depth;
         let node = self.node;
-        let buf = &mut self.inputs[idx].buffer;
+        let header = &mut self.inputs[idx];
+        let len = header.len();
         assert!(
-            buf.len() < depth,
+            len < depth,
             "buffer overflow at {node} port {port} vc {vc}: flow control violated"
         );
-        buf.push_back(flit);
+        self.flits[idx * depth + (header.head as usize + len) % depth] = flit;
+        if len == 0 {
+            header.front = flit;
+            let (word, mask) = occupancy_bit(idx);
+            self.occupied[word] |= mask;
+        }
+        header.len += 1;
         self.buffered += 1;
     }
 
-    /// Pops the front flit of an input VC, keeping the occupancy counter
-    /// in sync. The commit pass uses this for every departure.
+    /// Pops the front flit of an input VC, keeping the front copy, the
+    /// occupancy bit and the occupancy counter in sync. The commit pass
+    /// uses this for every departure.
     pub(crate) fn pop_front_flit(&mut self, port: usize, vc: usize) -> Option<Flit> {
         let idx = self.idx(port, vc);
-        let flit = self.inputs[idx].buffer.pop_front();
-        if flit.is_some() {
-            self.buffered -= 1;
+        let depth = self.config.buffer_depth;
+        let header = &mut self.inputs[idx];
+        if header.len == 0 {
+            return None;
         }
-        flit
+        let flit = header.front;
+        header.head = ((header.head as usize + 1) % depth) as u32;
+        header.len -= 1;
+        if header.len == 0 {
+            let (word, mask) = occupancy_bit(idx);
+            self.occupied[word] &= !mask;
+        } else {
+            header.front = self.flits[idx * depth + header.head as usize];
+        }
+        self.buffered -= 1;
+        Some(flit)
     }
 
     /// Returns a credit to an output VC (downstream freed a slot).
@@ -291,14 +445,15 @@ impl Router {
 
     /// Free slots in a local input VC buffer.
     pub fn free_slots(&self, port: usize, vc: usize) -> usize {
-        self.config.buffer_depth - self.inputs[self.idx(port, vc)].buffer.len()
+        self.config.buffer_depth - self.inputs[self.idx(port, vc)].len()
     }
 
     /// Rebuilds one resident packet's flits in place (DISCO
     /// de/compression replacing shadow flits, §3.2 step 3). The packet may
     /// be the VC's front packet or one queued behind it; flits of other
-    /// packets before and after its segment are preserved. `finalize`
-    /// marks the last rebuilt flit as the tail.
+    /// packets before and after its segment are preserved, the ones
+    /// behind it shifted within the VC's ring slots. `finalize` marks the
+    /// last rebuilt flit as the tail.
     ///
     /// Returns the change in occupancy (positive = grew).
     ///
@@ -317,51 +472,56 @@ impl Router {
     ) -> isize {
         let depth = self.config.buffer_depth;
         let idx = self.idx(port, vc);
-        let vc_ref = &mut self.inputs[idx];
-        let start = match vc_ref.buffer.iter().position(|f| f.packet == packet) {
-            Some(s) => s,
-            None => panic!("reshape requires {packet} resident at port {port} vc {vc}"),
+        let base = idx * depth;
+        let header = &mut self.inputs[idx];
+        let (head, len) = (header.head as usize, header.len());
+        // Ring slot of the VC's `i`-th buffered flit.
+        let at = |i: usize| base + (head + i) % depth;
+        let flits = &mut self.flits;
+        let Some(start) = (0..len).position(|i| flits[at(i)].packet == packet) else {
+            panic!("reshape requires {packet} resident at port {port} vc {vc}");
         };
-        let seg_len = vc_ref
-            .buffer
-            .iter()
-            .skip(start)
-            .take_while(|f| f.packet == packet)
+        let seg_len = (start..len)
+            .take_while(|&i| flits[at(i)].packet == packet)
             .count();
-        assert_eq!(
-            seg_len,
-            vc_ref.resident_of(packet),
+        assert!(
+            (start + seg_len..len).all(|i| flits[at(i)].packet != packet),
             "packet's flits must be contiguous"
         );
-        let old_total = vc_ref.buffer.len();
-        let before: Vec<Flit> = vc_ref.buffer.iter().take(start).copied().collect();
-        let after: Vec<Flit> = vc_ref
-            .buffer
-            .iter()
-            .skip(start + seg_len)
-            .copied()
-            .collect();
+        let after = len - start - seg_len;
         assert!(
-            new_len >= 1 && new_len + before.len() + after.len() <= depth,
+            new_len >= 1 && start + new_len + after <= depth,
             "reshape size out of range"
         );
-        vc_ref.buffer.clear();
-        vc_ref.buffer.extend(before);
+        // Move the flits queued behind the packet to their new place:
+        // front to back when the segment shrinks, back to front when it
+        // grows, so no flit is overwritten before it moves.
+        let (from, to) = (start + seg_len, start + new_len);
+        if new_len < seg_len {
+            for k in 0..after {
+                flits[at(to + k)] = flits[at(from + k)];
+            }
+        } else if new_len > seg_len {
+            for k in (0..after).rev() {
+                flits[at(to + k)] = flits[at(from + k)];
+            }
+        }
         for i in 0..new_len {
             let kind = match (i, new_len, finalize) {
-                (0, 1, true) => crate::packet::FlitKind::HeadTail,
-                (0, _, _) => crate::packet::FlitKind::Head,
-                (i, n, true) if i == n - 1 => crate::packet::FlitKind::Tail,
-                _ => crate::packet::FlitKind::Body,
+                (0, 1, true) => FlitKind::HeadTail,
+                (0, _, _) => FlitKind::Head,
+                (i, n, true) if i == n - 1 => FlitKind::Tail,
+                _ => FlitKind::Body,
             };
-            vc_ref.buffer.push_back(Flit {
+            flits[at(start + i)] = Flit {
                 packet,
                 kind,
                 ready_at: now,
-            });
+            };
         }
-        vc_ref.buffer.extend(after);
-        let delta = vc_ref.buffer.len() as isize - old_total as isize;
+        header.len = (start + new_len + after) as u32;
+        header.front = flits[at(0)];
+        let delta = new_len as isize - seg_len as isize;
         self.buffered = (self.buffered as isize + delta) as usize;
         delta
     }
@@ -373,41 +533,75 @@ impl Router {
         self.buffered
     }
 
-    /// Checks this router's internal legality: buffer bounds, DISCO lock
-    /// state, credit bounds, and the input-state/output-allocation
-    /// bijection. Always compiled; [`crate::Network::tick`] calls it every
-    /// cycle in debug builds, so the static CDG pass (`disco-verify`)
-    /// and the simulator cross-check each other.
+    /// Checks this router's internal legality: buffer bounds, the VC
+    /// headers' derived state (occupancy bit, front-flit copy, flit
+    /// count), DISCO lock state, credit bounds, and the
+    /// input-state/output-allocation bijection. Always compiled;
+    /// [`crate::Network::tick`] calls it every cycle in debug builds, so
+    /// the static CDG pass (`disco-verify`) and the simulator
+    /// cross-check each other.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         let depth = self.config.buffer_depth;
-        let actual: usize = self.inputs.iter().map(|v| v.buffer.len()).sum();
+        let actual: usize = self.inputs.iter().map(VcHeader::len).sum();
         if actual != self.buffered {
             return Err(format!(
                 "{}: occupancy counter {} desynchronized from buffers ({actual} flits)",
                 self.node, self.buffered
             ));
         }
+        let n = self.inputs.len();
+        let stray = self.occupied.iter().enumerate().any(|(w, &word)| {
+            let valid = n.saturating_sub(w * 64).min(64);
+            valid < 64 && word >> valid != 0
+        });
+        if stray {
+            return Err(format!(
+                "{}: occupancy bit set beyond the {n} input VCs",
+                self.node
+            ));
+        }
         for port in 0..self.ports {
             for v in 0..self.config.vcs {
-                let vc = &self.inputs[self.idx(port, v)];
-                if vc.buffer.len() > depth {
+                let idx = self.idx(port, v);
+                let header = &self.inputs[idx];
+                let vc = self.vc_at(idx);
+                if header.len() > depth || header.head as usize >= depth.max(1) {
                     return Err(format!(
-                        "{} port {port} vc {v}: occupancy {} exceeds buffer depth {depth}",
-                        self.node,
-                        vc.buffer.len()
+                        "{} port {port} vc {v}: occupancy {} at ring offset {} exceeds \
+                         buffer depth {depth}",
+                        self.node, header.len, header.head
                     ));
                 }
-                if vc.locked && vc.front_packet().is_none() {
+                let (word, mask) = occupancy_bit(idx);
+                if (self.occupied[word] & mask != 0) != (header.len > 0) {
+                    return Err(format!(
+                        "{} port {port} vc {v}: occupancy bit disagrees with {} buffered flits",
+                        self.node, header.len
+                    ));
+                }
+                if let Some(ring_front) = vc.flits().next() {
+                    let copy = header.front;
+                    if (copy.packet, copy.kind, copy.ready_at)
+                        != (ring_front.packet, ring_front.kind, ring_front.ready_at)
+                    {
+                        return Err(format!(
+                            "{} port {port} vc {v}: header front {copy:?} differs from \
+                             ring front {ring_front:?}",
+                            self.node
+                        ));
+                    }
+                }
+                if header.locked && vc.front_packet().is_none() {
                     return Err(format!(
                         "{} port {port} vc {v}: locked without a resident packet",
                         self.node
                     ));
                 }
-                if let VcState::Active { out, out_vc } = vc.state {
+                if let VcState::Active { out, out_vc } = header.state {
                     if self.out_alloc[self.idx(out.0, out_vc)] != Some((port, v)) {
                         return Err(format!(
                             "{} port {port} vc {v}: active on {out}/{out_vc}, but that \
@@ -479,36 +673,22 @@ impl disco_snapshot::Snap for VcState {
     }
 }
 
-impl Vc {
-    fn snap_state(&self, w: &mut disco_snapshot::Writer) {
-        w.put(&self.buffer);
-        w.put(&self.state);
-        w.put(&self.locked);
-    }
-
-    /// Overlays checkpointed contents, reusing the existing buffer
-    /// allocation (the zero-alloc hot-loop contract keeps its
-    /// construction-time capacity).
-    fn restore_state(
-        &mut self,
-        r: &mut disco_snapshot::Reader<'_>,
-    ) -> Result<(), disco_snapshot::SnapError> {
-        let flits: std::collections::VecDeque<Flit> = r.take()?;
-        self.buffer.clear();
-        self.buffer.extend(flits);
-        self.state = r.take()?;
-        self.locked = r.take()?;
-        Ok(())
-    }
-}
-
 impl Router {
     /// Writes the router's mutable state. `node`, `config`, `ports`, and
-    /// `link_ports` are rebuilt from the topology on restore.
+    /// `link_ports` are rebuilt from the topology on restore. Each input
+    /// VC is written as its buffered flits (a length-prefixed sequence,
+    /// front first), its state and its lock bit — the ring's layout is
+    /// not part of the format.
     pub(crate) fn snap_state(&self, w: &mut disco_snapshot::Writer) {
         w.put(&(self.inputs.len() as u64));
-        for vc in &self.inputs {
-            vc.snap_state(w);
+        for idx in 0..self.inputs.len() {
+            let vc = self.vc_at(idx);
+            w.put(&(vc.occupancy() as u64));
+            for flit in vc.flits() {
+                w.put(flit);
+            }
+            w.put(&vc.header.state);
+            w.put(&vc.header.locked);
         }
         w.put(&self.out_alloc);
         w.put(&self.credits);
@@ -518,7 +698,9 @@ impl Router {
     }
 
     /// Overlays state written by [`Router::snap_state`] onto a router
-    /// freshly built over the same topology and config.
+    /// freshly built over the same topology and config. Flits land at
+    /// the start of each VC's ring slots, and the occupancy bitset and
+    /// front copies are rebuilt from them.
     pub(crate) fn restore_state(
         &mut self,
         r: &mut disco_snapshot::Reader<'_>,
@@ -532,8 +714,33 @@ impl Router {
                 self.inputs.len()
             )));
         }
-        for vc in &mut self.inputs {
-            vc.restore_state(r)?;
+        let depth = self.config.buffer_depth;
+        self.occupied.fill(0);
+        for idx in 0..self.inputs.len() {
+            let len = r.take_len()?;
+            if len > depth {
+                return Err(disco_snapshot::malformed(format!(
+                    "router {} input VC {idx} holds {len} flits, buffer depth {depth}",
+                    self.node.0
+                )));
+            }
+            for slot in &mut self.flits[idx * depth..idx * depth + len] {
+                *slot = r.take()?;
+            }
+            let header = &mut self.inputs[idx];
+            header.head = 0;
+            header.len = len as u32;
+            header.front = if len > 0 {
+                self.flits[idx * depth]
+            } else {
+                EMPTY_SLOT
+            };
+            header.state = r.take()?;
+            header.locked = r.take()?;
+            if len > 0 {
+                let (word, mask) = occupancy_bit(idx);
+                self.occupied[word] |= mask;
+            }
         }
         let out_alloc: Vec<Option<(usize, usize)>> = r.take()?;
         let credits: Vec<usize> = r.take()?;
@@ -552,6 +759,13 @@ impl Router {
         self.rr_sa = r.take()?;
         self.sa_losers = r.take()?;
         self.buffered = r.take()?;
+        let actual: usize = self.inputs.iter().map(VcHeader::len).sum();
+        if actual != self.buffered {
+            return Err(disco_snapshot::malformed(format!(
+                "router {} buffers {} flits in snapshot, counter says {}",
+                self.node.0, actual, self.buffered
+            )));
+        }
         Ok(())
     }
 }
@@ -644,7 +858,7 @@ mod tests {
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].out, EAST);
         // Tail departed: VC released.
-        assert_eq!(r.vc(LOCAL, 0).state, VcState::Idle);
+        assert_eq!(r.vc(LOCAL, 0).state(), VcState::Idle);
         assert_eq!(r.credit_in(EAST, 0), NocConfig::default().buffer_depth - 1);
     }
 
@@ -793,8 +1007,90 @@ mod tests {
         assert_eq!(delta, -6);
         let vc = r.vc(NORTH_P, 1);
         assert_eq!(vc.occupancy(), 2);
-        assert!(vc.buffer.back().unwrap().kind.is_tail());
-        assert!(vc.buffer.front().unwrap().kind.is_head());
+        assert!(vc.flits().last().unwrap().kind.is_tail());
+        assert!(vc.front_is_head());
+    }
+
+    #[test]
+    fn reshape_moves_neighbours_within_a_wrapped_ring() {
+        use crate::packet::FlitKind::{Body, Head, HeadTail, Tail};
+        use std::collections::VecDeque;
+        let flit = |id: u64, kind| Flit {
+            packet: PacketId(id),
+            kind,
+            ready_at: 0,
+        };
+        // Every ring offset: the staged flits start at `offset` and wrap.
+        for offset in 0..NocConfig::default().buffer_depth {
+            let mut r = mesh_router(NodeId(0), NocConfig::default());
+            for k in 0..offset {
+                r.accept(NORTH_P, 1, flit(100 + k as u64, HeadTail));
+                assert!(r.pop_front_flit(NORTH_P, 1).is_some());
+            }
+            let mut model: VecDeque<(u64, FlitKind)> = VecDeque::new();
+            for (id, kind) in [(1, HeadTail), (2, Head), (2, Body), (2, Body), (2, Tail)]
+                .into_iter()
+                .chain([(3, Head), (3, Tail)])
+            {
+                r.accept(NORTH_P, 1, flit(id, kind));
+                model.push_back((id, kind));
+            }
+            let check = |r: &Router, model: &VecDeque<(u64, FlitKind)>| {
+                let ring: Vec<_> = r
+                    .vc(NORTH_P, 1)
+                    .flits()
+                    .map(|f| (f.packet.0, f.kind))
+                    .collect();
+                assert_eq!(
+                    ring,
+                    model.iter().copied().collect::<Vec<_>>(),
+                    "offset {offset}"
+                );
+                r.check_invariants().expect("ring state stays legal");
+            };
+            // Shrink the middle packet to one flit, then grow it to five.
+            assert_eq!(r.reshape_packet(NORTH_P, 1, PacketId(2), 1, true, 9), -3);
+            model.retain(|f| f.0 != 2);
+            model.insert(1, (2, HeadTail));
+            check(&r, &model);
+            assert_eq!(r.reshape_packet(NORTH_P, 1, PacketId(2), 5, false, 9), 4);
+            model.retain(|f| f.0 != 2);
+            for (i, kind) in [Head, Body, Body, Body, Body].into_iter().enumerate() {
+                model.insert(1 + i, (2, kind));
+            }
+            check(&r, &model);
+            // Reshaping the front packet refreshes the header's copy.
+            assert_eq!(r.reshape_packet(NORTH_P, 1, PacketId(1), 1, false, 9), 0);
+            model[0] = (1, Head);
+            check(&r, &model);
+            while let Some(f) = r.pop_front_flit(NORTH_P, 1) {
+                assert_eq!(Some((f.packet.0, f.kind)), model.pop_front());
+            }
+            assert!(model.is_empty());
+            check(&r, &model);
+        }
+    }
+
+    #[test]
+    fn occupancy_bitset_spans_words() {
+        // 5 ports x 16 VCs = 80 input VCs: the bitset needs a second
+        // word, and VC 79 is visited like any other.
+        let mesh = Mesh::new(4, 4).build();
+        let config = NocConfig {
+            vcs: 16,
+            ..NocConfig::default()
+        };
+        let mut r = mesh_router(NodeId(0), config);
+        assert_eq!(r.occupied.len(), 2);
+        let (store, id) = store_with_packet(NodeId(3), PacketClass::Request);
+        r.accept(LOCAL, 15, crate::packet::flits_for(id, 1, 0)[0]);
+        r.check_invariants().expect("second-word bit is tracked");
+        let outcome = compute(&r, 0, &store, &mesh);
+        assert_eq!(outcome.routes, vec![(LOCAL, 15, EAST)]);
+        assert_eq!(outcome.departures.len(), 1);
+        commit_router_local(&mut r, &outcome);
+        assert_eq!(r.occupied, vec![0, 0]);
+        r.check_invariants().expect("bit cleared on the last pop");
     }
 
     #[test]
@@ -836,7 +1132,7 @@ mod tests {
         // both VCs stay Active on their granted output VC.
         let states: Vec<_> = [(LOCAL, 2), (NORTH_P, 3)]
             .into_iter()
-            .map(|(p, v)| r.vc(p, v).state)
+            .map(|(p, v)| r.vc(p, v).state())
             .collect();
         let mut out_vcs = Vec::new();
         for st in states {

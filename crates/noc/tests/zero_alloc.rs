@@ -3,7 +3,8 @@
 //! steady-state [`Network::tick`] performs **no** heap allocation — no
 //! per-router outcome vectors, no RC/VA/SA request or loser lists, no
 //! per-flit `flits_for` buffers, also while packets contend for an
-//! output.
+//! output. DISCO's in-place rewrite of a resident packet
+//! ([`Network::reshape_resident`]) allocates nothing either.
 //!
 //! The measurement uses a counting global allocator gated by a
 //! thread-local flag, so only allocations made *by this test's thread
@@ -17,6 +18,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use disco_compress::CacheLine;
+use disco_noc::packet::flits_for;
 use disco_noc::{FlowControl, Mesh, Network, NocConfig, NodeId, PacketClass, Payload, Ring};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -162,6 +164,64 @@ fn assert_steady_state_allocates_nothing(
     }
 }
 
+/// Stages three packets in one VC of a 4x4 mesh router — a request, a
+/// 5-flit response, another request — after three requests have passed
+/// through that VC, so the staged flits wrap around the end of the VC's
+/// ring slots. Then shrinks the response to 2 flits and grows it to 6
+/// (filling the buffer) inside the measurement window: both rewrites
+/// move the packet queued behind it, and neither may touch the heap.
+fn assert_reshape_allocates_nothing() {
+    let mut net = Network::new(Mesh::new(4, 4), NocConfig::default());
+    let (node, dst) = (NodeId(5), NodeId(15));
+    let local = net.topology().local_port(node).0;
+    let vc = PacketClass::Request.vc();
+    for tag in 0..3 {
+        net.send(node, dst, PacketClass::Request, Payload::None, false, tag);
+    }
+    while !net.is_idle() {
+        net.tick();
+        let _ = net.take_delivered(dst);
+        assert!(net.now() < 1000, "reshape: warm-up traffic must drain");
+    }
+    let line = CacheLine::from_u64_words([1, 2, 3, 4, 5, 6, 7, 8]);
+    let staged = [
+        (PacketClass::Request, Payload::None, 1),
+        (PacketClass::Response, Payload::Raw(line), 5),
+        (PacketClass::Request, Payload::None, 1),
+    ]
+    .map(|(class, payload, size)| {
+        let id = net
+            .store_mut()
+            .create(node, dst, class, payload, true, 0, 0);
+        for flit in flits_for(id, size, 0) {
+            net.router_mut(node).accept(local, vc, flit);
+        }
+        id
+    });
+    let target = staged[1];
+
+    COUNTING.with(|c| c.set(true));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let shrunk = net.reshape_resident(node, local, vc, target, 2, true);
+    let grown = net.reshape_resident(node, local, vc, target, 6, true);
+    let after = ALLOCS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(false));
+    assert!(shrunk && grown, "reshape: both rewrites must apply");
+    assert_eq!(
+        after - before,
+        0,
+        "reshape: in-place rewrites must not touch the heap"
+    );
+
+    let view = net.router(node).vc(local, vc);
+    assert_eq!(view.occupancy(), 8);
+    assert_eq!(view.resident_packets(), staged.to_vec());
+    assert_eq!(view.resident_of(target), 6);
+    assert!(view.has_tail_of(target));
+    net.check_invariants()
+        .expect("reshape: router state stays legal");
+}
+
 /// A 16x1 mesh line and a 16-node ring (low-buffer router parameters)
 /// each carry one uncontended packet: the zero-alloc contract is
 /// topology-independent, so both substrates get the same mid-flight
@@ -173,6 +233,8 @@ fn assert_steady_state_allocates_nothing(
 /// cut-through.
 #[test]
 fn steady_state_cycles_allocate_nothing() {
+    assert_reshape_allocates_nothing();
+
     let mut mesh = Network::new(Mesh::new(16, 1), NocConfig::default());
     assert_steady_state_allocates_nothing("mesh 16x1", &mut mesh, &[(0, 15)], false);
 

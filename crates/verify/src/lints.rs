@@ -14,7 +14,8 @@
 //!    determinism guarantee only if every `Router` field write happens in
 //!    the node-ordered commit pass. No file in `crates/noc/src` other
 //!    than `commit.rs` (and `router.rs` itself) may mutate a router's
-//!    `inputs`, `out_alloc`, `credits`, `rr_sa`, or `sa_losers` directly.
+//!    `inputs`, `flits`, `occupied`, `out_alloc`, `credits`, `rr_sa`, or
+//!    `sa_losers` directly.
 //! 3. **No wall-clock in the trace path** — trace records are stamped
 //!    with the simulated cycle, never host time, or the export stops
 //!    being byte-identical across shard counts and reruns. Nothing under
@@ -76,7 +77,15 @@ pub const HOT_PATHS: &[&str] = &[
 /// `Router` fields only the commit pass may write. The compute phase
 /// reads them through snapshots; everything else goes through `Router`
 /// methods.
-const ROUTER_FIELDS: &[&str] = &["inputs", "out_alloc", "credits", "rr_sa", "sa_losers"];
+const ROUTER_FIELDS: &[&str] = &[
+    "inputs",
+    "flits",
+    "occupied",
+    "out_alloc",
+    "credits",
+    "rr_sa",
+    "sa_losers",
+];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
