@@ -142,15 +142,66 @@ impl MeshResult {
     }
 }
 
-/// One `trajectory` entry: a milestone's 8x8 serial throughput and
-/// parallel speedup.
-fn milestone(pr: &str, serial_8x8: f64, speedup: Json, note: &str) -> Json {
-    Json::obj([
-        ("pr", Json::str(pr)),
-        ("serial_8x8_cycles_per_s", Json::fixed(serial_8x8, 0)),
-        ("parallel_speedup", speedup),
-        ("note", Json::str(note)),
-    ])
+/// One `trajectory` entry: a milestone's 8x8 serial throughput (omitted
+/// when not measured) and parallel speedup.
+fn milestone(pr: &str, serial_8x8: Option<f64>, speedup: Json, note: &str) -> Json {
+    let mut fields = vec![("pr", Json::str(pr))];
+    fields.extend(serial_8x8.map(|s| ("serial_8x8_cycles_per_s", Json::fixed(s, 0))));
+    fields.push(("parallel_speedup", speedup));
+    fields.push(("note", Json::str(note)));
+    Json::obj(fields)
+}
+
+/// The run's JSON report. The 8x8 serial throughput, at the top level
+/// and in this run's trajectory entry, is present only when 8 is among
+/// the measured meshes: a mesh that was not run is left out, never
+/// written as a zero that reads as a measurement.
+fn report(
+    topology: TopologyChoice,
+    host_cores: usize,
+    shards: usize,
+    rate: f64,
+    meshes: &[MeshResult],
+) -> Json {
+    let deterministic = meshes.iter().all(|m| m.deterministic);
+    let serial_8x8 = meshes.iter().find(|m| m.mesh == 8).map(|m| m.serial_cps);
+    let speedup_16x16 = meshes.iter().find(|m| m.mesh == 16).map(|m| m.speedup);
+    let mut fields = vec![
+        ("bench", Json::str("kernel_speed")),
+        ("topology", Json::str(topology.to_string())),
+        ("host_cores", Json::num(host_cores)),
+        ("shards", Json::num(shards)),
+        ("rate", Json::num(rate)),
+        (
+            "meshes",
+            Json::Arr(meshes.iter().map(MeshResult::to_json).collect()),
+        ),
+    ];
+    fields.extend(serial_8x8.map(|s| ("serial_8x8_cycles_per_s", Json::fixed(s, 0))));
+    fields.extend(speedup_16x16.map(|s| ("speedup_16x16", Json::fixed(s, 3))));
+    fields.push(("deterministic", Json::Bool(deterministic)));
+    let trajectory = [
+        milestone(
+            "pr3",
+            Some(PR3_SERIAL_8X8_CPS),
+            Json::num(PR3_PARALLEL_SPEEDUP),
+            "scoped threads spawned per cycle; per-cycle allocation in RC/VA/SA",
+        ),
+        milestone(
+            "pr7",
+            Some(PR7_SERIAL_8X8_CPS),
+            Json::num(PR7_PARALLEL_SPEEDUP),
+            "persistent worker pool + zero-alloc per-shard arenas",
+        ),
+        milestone(
+            "pr9",
+            serial_8x8,
+            speedup_16x16.map_or(Json::Null, |s| Json::fixed(s, 3)),
+            "64x64 hundreds-of-cores leg added; checkpoint/restore + disco-serve land",
+        ),
+    ];
+    fields.push(("trajectory", Json::Arr(trajectory.into())));
+    Json::obj(fields)
 }
 
 fn main() -> ExitCode {
@@ -208,49 +259,11 @@ fn run() -> Result<ExitCode, String> {
     }
 
     let deterministic = meshes.iter().all(|m| m.deterministic);
-    let serial_8x8 = meshes
-        .iter()
-        .find(|m| m.mesh == 8)
-        .map(|m| m.serial_cps)
-        .unwrap_or(0.0);
     let speedup_16x16 = meshes.iter().find(|m| m.mesh == 16).map(|m| m.speedup);
-
-    let mut fields = vec![
-        ("bench", Json::str("kernel_speed")),
-        ("topology", Json::str(topology.to_string())),
-        ("host_cores", Json::num(host_cores)),
-        ("shards", Json::num(shards)),
-        ("rate", Json::num(rate)),
-        (
-            "meshes",
-            Json::Arr(meshes.iter().map(MeshResult::to_json).collect()),
-        ),
-        ("serial_8x8_cycles_per_s", Json::fixed(serial_8x8, 0)),
-    ];
-    fields.extend(speedup_16x16.map(|s| ("speedup_16x16", Json::fixed(s, 3))));
-    fields.push(("deterministic", Json::Bool(deterministic)));
-    let trajectory = [
-        milestone(
-            "pr3",
-            PR3_SERIAL_8X8_CPS,
-            Json::num(PR3_PARALLEL_SPEEDUP),
-            "scoped threads spawned per cycle; per-cycle allocation in RC/VA/SA",
-        ),
-        milestone(
-            "pr7",
-            PR7_SERIAL_8X8_CPS,
-            Json::num(PR7_PARALLEL_SPEEDUP),
-            "persistent worker pool + zero-alloc per-shard arenas",
-        ),
-        milestone(
-            "pr9",
-            serial_8x8,
-            speedup_16x16.map_or(Json::Null, |s| Json::fixed(s, 3)),
-            "64x64 hundreds-of-cores leg added; checkpoint/restore + disco-serve land",
-        ),
-    ];
-    fields.push(("trajectory", Json::Arr(trajectory.into())));
-    let json = format!("{:#}\n", Json::obj(fields));
+    let json = format!(
+        "{:#}\n",
+        report(topology, host_cores, shards, rate, &meshes)
+    );
     std::fs::write(&out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("kernel_speed: wrote {out}");
 
@@ -279,4 +292,47 @@ fn run() -> Result<ExitCode, String> {
     } else {
         ExitCode::SUCCESS
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn measured(mesh: usize) -> MeshResult {
+        MeshResult {
+            mesh,
+            cycles: 100,
+            points: Vec::new(),
+            serial_cps: 1234.0,
+            sharded_cps: 2468.0,
+            speedup: 2.0,
+            deterministic: true,
+        }
+    }
+
+    /// The newest trajectory entry (this run's).
+    fn this_run(json: &Json) -> &Json {
+        match json.get("trajectory") {
+            Some(Json::Arr(entries)) => entries.last().expect("trajectory has entries"),
+            other => panic!("trajectory missing: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn serial_8x8_is_omitted_when_8_is_not_measured() {
+        let meshes = [measured(16), measured(32)];
+        let json = report(TopologyChoice::Mesh, 2, 2, 0.1, &meshes);
+        assert!(json.get("serial_8x8_cycles_per_s").is_none(), "{json}");
+        assert!(this_run(&json).get("serial_8x8_cycles_per_s").is_none());
+        assert!(json.get("speedup_16x16").is_some());
+    }
+
+    #[test]
+    fn serial_8x8_is_reported_when_measured() {
+        let json = report(TopologyChoice::Mesh, 2, 2, 0.1, &[measured(8)]);
+        let expected = Some(&Json::fixed(1234.0, 0));
+        assert_eq!(json.get("serial_8x8_cycles_per_s"), expected);
+        assert_eq!(this_run(&json).get("serial_8x8_cycles_per_s"), expected);
+        assert!(json.get("speedup_16x16").is_none());
+    }
 }

@@ -46,3 +46,23 @@ provenance:
 # tests/golden_disco_variants.txt and tests/golden_kernel.txt) from one run.
 update-golden:
     UPDATE_GOLDEN=1 cargo test -q --test golden
+
+# Benchmark results must stay correct: every disco-benchmark workload,
+# one trial each (`--seconds 0`) at both pinned seeds, must report
+# `"correct": true` with no failed operation (the result fingerprints
+# are pinned in crates/benchmark). Mirrors CI's "Benchmark correctness"
+# step.
+bench-check:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo build --release -q -p disco-benchmark
+    for seed in 2016 2018; do
+      for w in paper-4x4 serve-8x8 noc-16x16 dse-4x4; do
+        verdict=$(target/release/disco-benchmark --workload "$w" --seed "$seed" --seconds 0 | tail -n 1)
+        echo "bench-check: $w seed $seed: ${verdict:0:48}"
+        case "$verdict" in
+          *'"correct": true,'*'"failed": 0,'*) ;;
+          *) echo "bench-check: $w seed $seed is not correct" >&2; exit 1 ;;
+        esac
+      done
+    done
