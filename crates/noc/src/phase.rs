@@ -8,19 +8,20 @@
 //! One classification pass walks the non-empty input VCs in
 //! `(port, vc)` order, found from the router's occupancy bitset, and
 //! decides each from its one-line header (state, lock bit and a copy
-//! of the front flit; see [`crate::router`]) without touching the flit
-//! ring. An `Idle` VC with a ready head flit is routed (RC), a `Routed` VC
-//! bids for an output VC (VA), and an `Active` VC with a ready,
-//! unlocked front flit is filed as a switch request under its output
-//! port. Within-cycle dependencies need no overlay of the router's
-//! state: VA sees this cycle's RC because both happen in the same
-//! visit, an output VC granted earlier this cycle is found in the
-//! outcome's own grant list, and a VC granted here files its request in
-//! the same visit, so every per-output list stays in `(port, vc)` order.
-//! SA then arbitrates each output over its own requests, and the VA
-//! losers are the VCs the pass left `Routed`. A router whose VCs hold
-//! only flits still in the link pipeline records nothing and does no
-//! further work.
+//! of the front flit; see [`crate::router`]); only store-and-forward's
+//! whole-packet test reads the flit ring. An `Idle` VC with a ready
+//! head flit is routed (RC), a `Routed` VC bids for an output VC (VA),
+//! and an `Active` VC with a ready, unlocked front flit is filed as a
+//! switch request under its output port. Within-cycle dependencies need
+//! no overlay of the router's state: VA sees this cycle's RC because
+//! both happen in the same visit, an output VC granted earlier this
+//! cycle is found in the outcome's own grant list, and a VC granted
+//! here files its request in the same visit, so every per-output list
+//! stays in `(port, vc)` order. SA then arbitrates each output over its
+//! own requests, and the VA losers are the VCs the pass left `Routed`.
+//! A router whose VCs hold only flits still in the link pipeline
+//! records nothing and does no further work. The outcome carries no
+//! counters: the commit pass derives the router's stat delta from it.
 //!
 //! The request lists live in a reusable [`ComputeScratch`] arena, and
 //! the outcome's action lists are cleared (not reallocated) on entry —
@@ -204,7 +205,7 @@ pub(crate) fn compute_router(
     // the occupancy bitset's set bits ascend in flat index. RC and VA
     // run in the visit that finds them eligible, and every VC that ends
     // the visit `Active` with a ready, unlocked front flit files a
-    // switch request. Each visit reads only the VC's header.
+    // switch request. A visit reads the VC's header, not its flits.
     for (word_index, &word) in router.occupied.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {

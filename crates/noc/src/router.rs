@@ -44,7 +44,7 @@ pub(crate) enum VcState {
 /// router's flit ring, its allocation state, the DISCO lock bit, and a
 /// copy of its front flit. Exactly one cache line, so the compute phase
 /// decides a VC from one load instead of chasing the ring.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 #[repr(C, align(64))]
 pub(crate) struct VcHeader {
     /// Copy of the ring's front flit; meaningful only while `len > 0`.
@@ -93,18 +93,14 @@ pub struct Vc<'a> {
 }
 
 impl<'a> Vc<'a> {
-    /// The buffered flits in queue order, as the ring's two runs.
-    fn runs(self) -> (&'a [Flit], &'a [Flit]) {
+    /// The buffered flits, front first: the run from the ring offset to
+    /// the end of the VC's slots, then the run that wrapped to their
+    /// start.
+    pub(crate) fn flits(self) -> impl Iterator<Item = &'a Flit> {
         let head = self.header.head as usize;
         let end = (head + self.header.len()).min(self.slots.len());
         let wrapped = self.header.len() - (end - head);
-        (&self.slots[head..end], &self.slots[..wrapped])
-    }
-
-    /// The buffered flits, front first.
-    pub(crate) fn flits(self) -> impl Iterator<Item = &'a Flit> {
-        let (first, second) = self.runs();
-        first.iter().chain(second)
+        self.slots[head..end].iter().chain(&self.slots[..wrapped])
     }
 
     /// The front packet's progress through RC and VA.
@@ -1069,6 +1065,41 @@ mod tests {
             assert!(model.is_empty());
             check(&r, &model);
         }
+    }
+
+    #[test]
+    fn restore_round_trips_and_rejects_inconsistent_buffers() {
+        let mut r = mesh_router(NodeId(0), NocConfig::default());
+        let (_store, id) = store_with_packet(NodeId(3), PacketClass::Request);
+        for f in crate::packet::flits_for(id, 3, 0) {
+            r.accept(0, 0, f);
+        }
+        assert!(r.pop_front_flit(0, 0).is_some());
+        let mut w = disco_snapshot::Writer::new();
+        r.snap_state(&mut w);
+        let bytes = w.into_bytes();
+        let restore = |bytes: &[u8]| {
+            let mut fresh = mesh_router(NodeId(0), NocConfig::default());
+            fresh
+                .restore_state(&mut disco_snapshot::Reader::new(bytes))
+                .map(|()| fresh)
+        };
+        let back = restore(&bytes).expect("own snapshot restores");
+        assert_eq!(format!("{back:?}"), format!("{r:?}"));
+        back.check_invariants().expect("restored ring is legal");
+        // The first VC's length prefix follows the VC count: claim more
+        // flits than the buffer holds.
+        let mut deep = bytes.clone();
+        deep[8..16].copy_from_slice(&9u64.to_le_bytes());
+        assert!(restore(&deep).is_err(), "length beyond the buffer depth");
+        // The occupancy counter is the last field.
+        let mut miscounted = bytes.clone();
+        let n = miscounted.len();
+        miscounted[n - 8..].copy_from_slice(&7u64.to_le_bytes());
+        assert!(
+            restore(&miscounted).is_err(),
+            "counter disagrees with buffers"
+        );
     }
 
     #[test]
