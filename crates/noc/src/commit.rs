@@ -10,10 +10,10 @@
 //! hook may eat it, and a quiet router costs no stat work at all.
 //! Outcomes live in per-shard slots, but shards own *contiguous* node
 //! ranges, so walking the slots in shard order with a running node
-//! counter **is** node order `0..n`. Because
-//! the outcomes were computed from the cycle-start snapshot, the
-//! committed state is identical no matter how the compute phase was
-//! scheduled, which is what keeps every shard count byte-exact.
+//! counter **is** node order `0..n`. Because the outcomes were computed
+//! from the cycle-start snapshot, the committed state is identical no
+//! matter how the compute phase was scheduled, which is what keeps
+//! every shard count byte-exact.
 //!
 //! The `disco-verify` commit-confinement lint pins this property down
 //! statically: outside this module and `router.rs` itself, no code may

@@ -326,11 +326,11 @@ impl FaultCtx {
             }
         );
         // Eat the delivery: the packet leaves the store now and its
-        // pristine payload is queued for retransmission. (The compute
-        // phase already counted it in packets_delivered; see the stats
-        // note in ARCHITECTURE.md — ejection-eaten packets count as
-        // delivered flit traffic, recovery re-counts the retransmit as
-        // a fresh injection.)
+        // pristine payload is queued for retransmission. (The commit
+        // pass counted it in packets_delivered before this hook; see
+        // the stats note in ARCHITECTURE.md — ejection-eaten packets
+        // count as delivered flit traffic, recovery re-counts the
+        // retransmit as a fresh injection.)
         let pkt = net.store.remove(id);
         self.resolve_failure(net.now, &pkt, rec);
         true

@@ -48,10 +48,8 @@ impl NetworkStats {
         Self::default()
     }
 
-    /// Adds another counter block into this one, field by field. The
-    /// commit pass merges the per-router deltas of the compute phase in
-    /// node order; u64 addition commutes, so the totals are identical
-    /// for any shard count.
+    /// Adds another counter block into this one, field by field (for
+    /// callers that sum the counters of several runs).
     pub fn accumulate(&mut self, delta: &NetworkStats) {
         self.cycles += delta.cycles;
         self.packets_injected += delta.packets_injected;
