@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pareto --out PARETO_pr10.json [--grid smoke|full] [--workers N]
-//!        [--shards N] [--journal points.jsonl] [--max-points N]
+//!        [--journal points.jsonl] [--max-points N]
 //! ```
 //!
 //! Enumerates the declared design space, runs every point not already
@@ -27,19 +27,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: pareto --out <frontier.json> [--grid smoke|full] \
-                     [--workers N] [--shards N] [--journal <points.jsonl>] \
+                     [--workers N] [--journal <points.jsonl>] \
                      [--max-points N]";
 
 fn parse_args() -> Result<(PathBuf, ExploreConfig), String> {
     let flags = Flags::from_env(
-        &[
-            "--out",
-            "--grid",
-            "--workers",
-            "--shards",
-            "--journal",
-            "--max-points",
-        ],
+        &["--out", "--grid", "--workers", "--journal", "--max-points"],
         &[],
     )?;
     let grid = |name: &str| match name {
@@ -48,13 +41,14 @@ fn parse_args() -> Result<(PathBuf, ExploreConfig), String> {
         _ => None,
     };
     let cfg = ExploreConfig {
-        space: flags
-            .opt_with("--grid", grid)?
-            .unwrap_or_else(DesignSpace::smoke),
         workers: flags.get("--workers", 1)?,
-        shards: flags.get("--shards", 1)?,
         journal: flags.opt("--journal")?,
         max_points: flags.get("--max-points", 0)?,
+        ..ExploreConfig::new(
+            flags
+                .opt_with("--grid", grid)?
+                .unwrap_or_else(DesignSpace::smoke),
+        )
     };
     Ok((flags.required("--out")?, cfg))
 }

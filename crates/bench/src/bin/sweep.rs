@@ -6,7 +6,7 @@
 //!
 //! `cargo run --release -p disco-bench --bin sweep -- \
 //!     [--mesh 8] [--topology mesh|ring|hring|torus|cmesh] \
-//!     [--cycles 20000] [--threads N] [--shards S] \
+//!     [--cycles 20000] [--threads N] \
 //!     [--rates 0.05,0.1,0.2,0.3] [--out BENCH_pr3.json]`
 
 use disco_bench::cli::{self, Flags};
@@ -52,7 +52,6 @@ fn run() -> Result<ExitCode, String> {
             "--topology",
             "--cycles",
             "--threads",
-            "--shards",
             "--rates",
             "--out",
         ],
@@ -65,19 +64,15 @@ fn run() -> Result<ExitCode, String> {
     let cycles: u64 = flags.get("--cycles", 20_000)?;
     let default_threads = std::thread::available_parallelism().map_or(4, |n| n.get());
     let threads = flags.get("--threads", default_threads)?;
-    let shards = flags.get("--shards", 1)?;
     let rates: Vec<f64> = flags.list("--rates", vec![0.05, 0.1, 0.2, 0.3])?;
     let out = flags.get("--out", "BENCH_pr3.json".to_string())?;
     // Make over-subscription loud: on a host with fewer cores than
-    // the threads the fanned pass runs (threads x kernel threads per
-    // point), it measures time-slicing, and its speedup number is not a
+    // the threads the fanned pass runs, it measures time-slicing, and its speedup number is not a
     // parallelism result (this is exactly how BENCH_pr3's 0.952x on a
     // 1-core container read as a regression). `host_cores` in the JSON
     // records the truth.
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if let Some(w) =
-        disco_pareto::exec::oversubscription_warning("sweep", threads, shards, host_cores)
-    {
+    if let Some(w) = disco_pareto::exec::oversubscription_warning("sweep", threads, host_cores) {
         eprintln!("{w}");
     }
     // The driver maps `seed` to `seed | 1`, so adjacent integers collide;
@@ -94,7 +89,6 @@ fn run() -> Result<ExitCode, String> {
                 cols: mesh,
                 rows: mesh,
                 cycles,
-                compute_shards: shards,
                 trace_capacity: 0,
             })
         })
@@ -136,7 +130,6 @@ fn run() -> Result<ExitCode, String> {
         ("cycles_per_point", Json::num(cycles)),
         ("threads", Json::num(threads)),
         ("host_cores", Json::num(host_cores)),
-        ("compute_shards", Json::num(shards)),
         ("points", Json::Arr(points.collect())),
         ("serial_total_wall_s", Json::fixed(serial_wall, 6)),
         ("parallel_total_wall_s", Json::fixed(parallel_wall, 6)),

@@ -52,7 +52,6 @@ fn run_topology(choice: TopologyChoice, args: &Args) -> Result<Json, String> {
         cols: args.mesh,
         rows: args.mesh,
         cycles: args.cycles,
-        compute_shards: 1,
         trace_capacity: 0,
     });
     let report = SimBuilder::new()

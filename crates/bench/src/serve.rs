@@ -27,7 +27,6 @@
 //!       "benchmark": "blackscholes",
 //!       "trace_len": 10000,
 //!       "seed": 1,
-//!       "compute_shards": 1,
 //!       "max_cycles": 0,            // 0 = auto budget
 //!       "fault_rate": 0.0           // uniform fault plan when > 0
 //!     }

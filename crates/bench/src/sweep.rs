@@ -6,8 +6,8 @@
 //! fan-out needs no synchronization beyond joining. Results come back in
 //! point order regardless of the thread count, and each point's stats
 //! are byte-identical to a serial run of the same point — the harness
-//! parallelizes *between* configurations; `NocConfig::compute_shards`
-//! additionally shards the cycle kernel *within* one.
+//! parallelizes *between* configurations, and each configuration runs
+//! on one thread.
 
 use disco_noc::traffic::{TrafficDriver, TrafficPattern};
 use disco_noc::{Network, NetworkStats, NocConfig, NodeId, TopologyChoice};
@@ -30,8 +30,6 @@ pub struct SweepPoint {
     pub rows: usize,
     /// Cycles to simulate.
     pub cycles: u64,
-    /// Kernel shard request (see `NocConfig::compute_shards`).
-    pub compute_shards: usize,
     /// Trace ring-buffer capacity in records; 0 = tracing off.
     pub trace_capacity: usize,
 }
@@ -58,7 +56,6 @@ pub fn run_point(point: &SweepPoint) -> PointResult {
     let topo = point.topology.build(point.cols, point.rows);
     let config = NocConfig {
         vcs: NocConfig::default().vcs.max(topo.min_vcs()),
-        compute_shards: point.compute_shards,
         ..NocConfig::default()
     };
     let nodes = topo.tiles();
@@ -118,7 +115,6 @@ mod tests {
                 cols: 4,
                 rows: 4,
                 cycles: 400,
-                compute_shards: 1,
                 trace_capacity: 0,
             })
             .collect()
@@ -147,7 +143,6 @@ mod tests {
                 cols: 4,
                 rows: 4,
                 cycles: 300,
-                compute_shards: 1,
                 trace_capacity: 0,
             };
             let r = run_point(&point);
@@ -179,7 +174,6 @@ mod tests {
                     cols: 8,
                     rows: 8,
                     cycles: 2_000,
-                    compute_shards: 1,
                     trace_capacity,
                 })
             };

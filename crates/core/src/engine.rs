@@ -171,15 +171,12 @@ struct NodeScan {
     low_confidence: u64,
 }
 
-/// One shard's reusable scan arena: the per-node scan results for the
-/// shard's contiguous node span plus the busy-packet working list. Like
-/// the NoC's compute slots, allocations reach their high-water mark
-/// once and are reused every cycle; the `Mutex` is uncontended (shards
-/// are disjoint) and exists only to hand the slot to a pool worker
-/// safely.
+/// The reusable scan arena: one scan result per node plus the
+/// busy-packet working list. Like the NoC's compute arena, allocations
+/// reach their high-water mark once and are reused every cycle.
 #[derive(Debug, Default)]
-struct ScanSlot {
-    /// One scan per node in this shard's span, in node order.
+struct ScanArena {
+    /// One scan per node, in node order.
     scans: Vec<NodeScan>,
     /// Packets already claimed by engines or earlier slots of the node
     /// under scan.
@@ -204,9 +201,9 @@ pub struct DiscoLayer {
     epoch_started: u64,
     epoch_stats: DiscoStats,
     cycle: u64,
-    /// Per-shard scan arenas, sized lazily to the network's shard count
-    /// and taken out of `self` during each tick's scan + commit.
-    scan_slots: Vec<std::sync::Mutex<ScanSlot>>,
+    /// The scan arena, taken out of `self` during each tick's scan +
+    /// commit.
+    scan_arena: ScanArena,
 }
 
 impl DiscoLayer {
@@ -223,7 +220,7 @@ impl DiscoLayer {
             epoch_started: 0,
             epoch_stats: DiscoStats::default(),
             cycle: 0,
-            scan_slots: Vec::new(),
+            scan_arena: ScanArena::default(),
         }
     }
 
@@ -277,11 +274,9 @@ impl DiscoLayer {
     /// [`Network::tick`] so the cycle's allocation losers are fresh.
     ///
     /// Mirrors the NoC's compute → commit split: engine *progress*
-    /// (`step_engine`) mutates shared state and runs
-    /// serially in node order; the candidate *scan* is a pure function of
-    /// the resulting network state and parallelizes across nodes; the
-    /// *commit* applies the chosen starts in node order. Results are
-    /// therefore identical for any shard count.
+    /// (`step_engine`) mutates shared state and runs in node order; the
+    /// candidate *scan* is a pure function of the resulting network
+    /// state; the *commit* applies the chosen starts in node order.
     pub fn tick(&mut self, net: &mut Network) {
         self.cycle += 1;
         if self.params.adaptive && self.cycle - self.epoch_started >= self.params.epoch_cycles {
@@ -293,55 +288,27 @@ impl DiscoLayer {
                 self.step_engine(net, node, slot);
             }
         }
-        // Detach the arenas so the scan can borrow `self` immutably and
-        // the slots mutably at the same time (mirrors `Network::tick`).
-        if self.scan_slots.len() != net.compute_shards() {
-            self.scan_slots
-                .resize_with(net.compute_shards(), Default::default);
-        }
-        let mut slots = std::mem::take(&mut self.scan_slots);
-        self.compute_scans(net, &mut slots);
-        // Commit in node order: shard slots hold contiguous node spans in
-        // shard order, so a running counter walks nodes exactly `0..n`.
-        let mut node = 0;
-        for slot in slots.iter_mut() {
-            let slot = match slot.get_mut() {
-                Ok(slot) => slot,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            for scan in &slot.scans {
-                self.stats.low_confidence += scan.low_confidence;
-                for &action in &scan.starts {
-                    self.commit_start(net, node, action);
-                }
-                node += 1;
+        // Detach the arena so the scan can borrow `self` immutably and
+        // the arena mutably at the same time (mirrors `Network::tick`).
+        let mut arena = std::mem::take(&mut self.scan_arena);
+        self.compute_scans(net, &mut arena);
+        for (node, scan) in arena.scans.iter().enumerate() {
+            self.stats.low_confidence += scan.low_confidence;
+            for &action in &scan.starts {
+                self.commit_start(net, node, action);
             }
         }
-        debug_assert_eq!(node, self.engines.len(), "scan slots must tile the nodes");
-        self.scan_slots = slots;
+        self.scan_arena = arena;
     }
 
     /// Scan phase: runs [`scan_node_into`](Self::scan_node_into) for
-    /// every node, shard `s` scanning the node span
-    /// [`Network::shard_span`]`(s)` into slot `s` over
-    /// [`Network::run_sharded`] — the same decomposition and threads as
-    /// the NoC compute phase, so a shard's scan arena stays warm in the
-    /// same thread's cache.
-    fn compute_scans(&self, net: &Network, slots: &mut [std::sync::Mutex<ScanSlot>]) {
-        let slots: &[std::sync::Mutex<ScanSlot>] = slots;
-        net.run_sharded(&|shard| {
-            let span = net.shard_span(shard);
-            // Uncontended: one thread owns shard `shard` during a run.
-            let mut slot = match slots[shard].lock() {
-                Ok(slot) => slot,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let ScanSlot { scans, busy } = &mut *slot;
-            scans.resize_with(span.len(), NodeScan::default);
-            for (k, node) in span.enumerate() {
-                self.scan_node_into(net, node, busy, &mut scans[k]);
-            }
-        });
+    /// every node, in node order.
+    fn compute_scans(&self, net: &Network, arena: &mut ScanArena) {
+        let ScanArena { scans, busy } = arena;
+        scans.resize_with(self.engines.len(), NodeScan::default);
+        for (node, scan) in scans.iter_mut().enumerate() {
+            self.scan_node_into(net, node, busy, scan);
+        }
     }
 
     /// Pure per-node scan: decides which packets this node's idle engine
@@ -1173,8 +1140,7 @@ disco_snapshot::snap_fields!(Operation {
 impl DiscoLayer {
     /// Writes the layer's mutable state: every engine, the arbitrator's
     /// effective thresholds, epoch bookkeeping, and counters. `params`,
-    /// the codec, and the per-shard scan arenas are rebuilt from config
-    /// on restore.
+    /// the codec, and the scan arena are rebuilt from config on restore.
     pub fn snap_state(&self, w: &mut disco_snapshot::Writer) {
         w.put(&self.engines);
         w.put(&self.stats);

@@ -211,7 +211,7 @@ struct CodecOps {
 
 /// Trace capture state for a run that opted into provenance analysis.
 /// Records drain out of the network tracer once per tick, in node order,
-/// so the capture is lossless and shard-invariant.
+/// so the capture is lossless and deterministic.
 struct TraceState {
     analyzer: disco_trace::ProvenanceAnalyzer,
     records: Vec<disco_trace::Record>,
@@ -529,7 +529,7 @@ impl System {
     /// Moves this tick's events out of the per-component site logs and the
     /// network tracer into the provenance analyzer. Banks drain in index
     /// order, then DRAM — a fixed order, so the capture is byte-identical
-    /// at any shard count. Draining every tick keeps the ring from ever
+    /// from run to run. Draining every tick keeps the ring from ever
     /// overflowing, making the capture lossless. Untraced runs return
     /// at once.
     fn drain_trace_tick(&mut self) {
@@ -1705,8 +1705,8 @@ impl SimBuilder {
     /// Compares a snapshot's embedded builder (`self`) against the
     /// configuration a caller asked to restore into, field by field. The
     /// destructuring is exhaustive, so a new builder field does not
-    /// compile until it is compared here or waived. Only the shard count
-    /// and the cycle budget may differ: neither changes what is simulated.
+    /// compile until it is compared here or waived. Only the cycle budget
+    /// may differ: it does not change what is simulated.
     fn check_matches(&self, requested: &SimBuilder) -> Result<(), SimError> {
         fn diff<T: PartialEq + fmt::Debug>(
             field: &'static str,
@@ -1742,10 +1742,6 @@ impl SimBuilder {
             capture_trace,
             retain_trace_records,
         } = self;
-        let unsharded = |noc: &NocConfig| NocConfig {
-            compute_shards: 0,
-            ..*noc
-        };
         diff("cols", cols, &requested.cols)?;
         diff("rows", rows, &requested.rows)?;
         diff("topology", topology, &requested.topology)?;
@@ -1754,7 +1750,7 @@ impl SimBuilder {
         diff("profile", profile, &requested.profile)?;
         diff("trace_len", trace_len, &requested.trace_len)?;
         diff("seed", seed, &requested.seed)?;
-        diff("noc", &unsharded(noc), &unsharded(&requested.noc))?;
+        diff("noc", noc, &requested.noc)?;
         diff("disco", disco, &requested.disco)?;
         diff(
             "demote_override",
@@ -1819,7 +1815,7 @@ impl System {
 
     /// Like [`System::restore`], but first verifies the snapshot's
     /// embedded configuration matches `requested` on every builder field
-    /// except the shard count and the cycle budget, so a job runner
+    /// except the cycle budget, so a job runner
     /// cannot silently resume the wrong simulation.
     ///
     /// # Errors

@@ -5,9 +5,8 @@
 //! A [`FaultPlan`] is a *schedule*, not a stream: whether a fault fires
 //! at `(cycle, site)` is a pure function of the plan's seed, the fault
 //! kind, the cycle, and a stable site key. Nothing draws from a shared
-//! RNG, so the schedule is byte-identical no matter how the cycle
-//! kernel's compute phase is sharded (`compute_shards` ∈ {1, 4, 16, …})
-//! and no matter in which order sites consult it within a cycle.
+//! RNG, so the schedule is byte-identical no matter in which order
+//! sites consult it within a cycle.
 //!
 //! The crate is dependency-free. The simulator consults a plan only when
 //! a run arms one (`SimBuilder::faults`, `Network::set_fault_plan`);

@@ -8,22 +8,18 @@
 //! is derived here from its loser list and departures, the same facts
 //! the compute phase decided, each departure counted before the fault
 //! hook may eat it, and a quiet router costs no stat work at all.
-//! Outcomes live in per-shard slots, but shards own *contiguous* node
-//! ranges, so walking the slots in shard order with a running node
-//! counter **is** node order `0..n`. Because the outcomes were computed
-//! from the cycle-start snapshot, the committed state is identical no
-//! matter how the compute phase was scheduled, which is what keeps
-//! every shard count byte-exact.
+//! Because every outcome was computed from the cycle-start snapshot,
+//! the order the compute phase visited routers in cannot change what
+//! is committed; only this pass's node order does.
 //!
 //! The `disco-verify` commit-confinement lint pins this property down
 //! statically: outside this module and `router.rs` itself, no code may
 //! write a router's internal fields.
 
-use crate::network::{Network, ShardSlot};
+use crate::network::Network;
 use crate::phase::{Departure, RouterOutcome};
 use crate::router::{Router, VcState};
 use crate::topology::{NodeId, PortId};
-use std::sync::Mutex;
 
 /// Applies one router's own action lists: RC/VA state transitions, the
 /// winners' buffer pops and credit decrements, the winners' round-robin
@@ -125,8 +121,7 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
     }
     commit_router_local(&mut net.routers[i], outcome);
     // Cycle-stamp this router's compute-phase events here, in node
-    // order: the trace byte-stream is then independent of how the
-    // compute phase was scheduled across shards.
+    // order, so the trace byte stream follows the commit order.
     if let Some(tracer) = &mut net.tracer {
         tracer.record_all(&outcome.events);
     }
@@ -181,28 +176,10 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
     }
 }
 
-/// Applies every shard slot's outcomes in shard order. Shard `s` owns
-/// the contiguous node range [`Network::shard_span`]`(s)`, so the
-/// running counter visits nodes exactly in order `0..n` — the same
-/// schedule the serial path produces.
-pub(crate) fn commit_cycle(net: &mut Network, slots: &mut [Mutex<ShardSlot>]) {
-    let mut node = 0;
-    for slot in slots.iter_mut() {
-        // The compute phase is over and we hold `&mut`: the lock cannot
-        // be contended, and a poisoned slot only means a compute worker
-        // panicked *after* the pool already re-raised the panic.
-        let slot = match slot.get_mut() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        for outcome in &slot.outcomes {
-            commit_node(net, node, outcome);
-            node += 1;
-        }
+/// Applies every router's outcome in node order `0..n`.
+pub(crate) fn commit_cycle(net: &mut Network, outcomes: &[RouterOutcome]) {
+    debug_assert_eq!(outcomes.len(), net.routers.len(), "one outcome per router");
+    for (node, outcome) in outcomes.iter().enumerate() {
+        commit_node(net, node, outcome);
     }
-    debug_assert_eq!(
-        node,
-        net.routers.len(),
-        "shard slots must tile the node range"
-    );
 }

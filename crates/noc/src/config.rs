@@ -58,14 +58,6 @@ pub struct NocConfig {
     pub routing: RoutingAlgorithm,
     /// Switch-allocation priority rules.
     pub scheduling: SchedulingPolicy,
-    /// Shards for the compute phase: `0` (auto) and `1` run the serial
-    /// path — no network this repository simulates is large enough for
-    /// the worker pool to win — and larger values force that many
-    /// shards (clamped to the router count). The pool runs at most one
-    /// thread per host core whatever the shard count. Results are
-    /// byte-identical for every value — sharding only changes
-    /// wall-clock, never simulated behaviour.
-    pub compute_shards: usize,
 }
 
 impl Default for NocConfig {
@@ -77,7 +69,6 @@ impl Default for NocConfig {
             flow_control: FlowControl::Wormhole,
             routing: RoutingAlgorithm::default(),
             scheduling: SchedulingPolicy::default(),
-            compute_shards: 0,
         }
     }
 }
@@ -178,5 +169,4 @@ disco_snapshot::snap_fields!(NocConfig {
     flow_control,
     routing,
     scheduling,
-    compute_shards,
 });

@@ -8,23 +8,17 @@ use crate::router::Router;
 use crate::stats::NetworkStats;
 use crate::topology::{NodeId, PortId, Topology, TopologySpec};
 use std::collections::VecDeque;
-use std::sync::Mutex;
 
-/// One shard's reusable compute arena: the outcome slots for the
-/// shard's contiguous router range plus the RC/VA/SA scratch space.
-/// Allocations grow to their high-water mark once and are reused every
-/// cycle afterwards — the steady-state compute phase allocates nothing.
-///
-/// The `Mutex` is uncontended by construction (shards are disjoint and
-/// each worker touches only its own slot); it exists to make the
-/// hand-off to worker threads safe in the type system without putting
-/// any interior mutability into the pure compute code itself.
+/// The reusable compute arena: one outcome slot per router plus the
+/// RC/VA/SA scratch space. Allocations grow to their high-water mark
+/// once and are reused every cycle afterwards — the steady-state
+/// compute phase allocates nothing.
 #[derive(Debug, Default)]
-pub(crate) struct ShardSlot {
-    /// One outcome per router in this shard's span, in node order.
-    pub(crate) outcomes: Vec<RouterOutcome>,
-    /// Overlay + candidate arenas reused across the shard's routers.
-    pub(crate) scratch: ComputeScratch,
+struct ComputeArena {
+    /// One outcome per router, in node order.
+    outcomes: Vec<RouterOutcome>,
+    /// Overlay + candidate arenas reused across routers.
+    scratch: ComputeScratch,
 }
 
 /// Maximum packet size in flits: an uncompressed 64 B payload.
@@ -69,46 +63,19 @@ pub struct Network {
     pub(crate) delivered: Vec<Vec<PacketId>>,
     pub(crate) stats: NetworkStats,
     pub(crate) now: u64,
-    /// Per-shard compute arenas, taken out of `self` for the duration of
-    /// each tick's compute + commit so the phases can borrow the network
-    /// and the slots independently. Length equals the shard count.
-    scratch: Vec<Mutex<ShardSlot>>,
-    /// Shard count for the compute phase, resolved once at build time
-    /// from [`NocConfig::compute_shards`] and the network size.
-    shards: usize,
-    /// Persistent compute workers (`min(shards, host cores) - 1` parked
-    /// threads), spawned once at construction. `None` when one thread
-    /// suffices — the serial path must not pay any pool cost, not even
-    /// an idle thread.
-    pool: Option<crate::pool::WorkerPool>,
+    /// The compute arena, taken out of `self` for the duration of each
+    /// tick's compute + commit so the phases can borrow the network and
+    /// the arena independently.
+    arena: ComputeArena,
     /// Cycle-stamped trace event collector, present only while tracing
-    /// is on ([`Network::set_trace_capacity`]). Fed only from the serial
-    /// paths (NI injection, the commit pass), so its byte stream is
-    /// independent of the compute-phase shard count.
+    /// is on ([`Network::set_trace_capacity`]). Fed only from NI
+    /// injection and the node-ordered commit pass.
     pub(crate) tracer: Option<disco_trace::Tracer>,
     /// Commit-side fault injection/recovery state, present only while a
     /// plan with a non-zero schedule is installed
     /// ([`Network::set_fault_plan`]). Boxed so the commit pass's
     /// per-departure `take`/put-back moves a pointer, not the context.
     pub(crate) faults: Option<Box<crate::faults::FaultCtx>>,
-}
-
-/// The host's core count (1 when it cannot be read). Reading it costs
-/// file-system reads (cgroup quotas), so single-shard networks never ask.
-fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Resolves [`NocConfig::compute_shards`] against the network size.
-/// Auto mode (`0`) runs serial: no workload in this repository is large
-/// enough for the pool to beat the serial path (see the 2-shard table in
-/// EXPERIMENTS.md). An explicit count is honoured up to one router per
-/// shard.
-fn effective_shards(requested: usize, routers: usize) -> usize {
-    match requested {
-        0 => 1,
-        n => n.min(routers.max(1)),
-    }
 }
 
 impl Network {
@@ -139,15 +106,6 @@ impl Network {
         );
         let routers = topology.routers();
         let tiles = topology.tiles();
-        let shards = effective_shards(config.compute_shards, routers);
-        // Shards beyond the host's cores share threads rather than
-        // time-slice extra ones (measured in EXPERIMENTS.md: 16 shards
-        // on 2 cores run faster on 2 threads than on 16).
-        let threads = if shards > 1 {
-            shards.min(host_cores())
-        } else {
-            1
-        };
         let radix = topology.radix();
         let link_ports = topology.link_ports();
         Network {
@@ -163,54 +121,9 @@ impl Network {
             delivered: vec![Vec::new(); tiles],
             stats: NetworkStats::new(),
             now: 0,
-            scratch: (0..shards)
-                .map(|_| Mutex::new(ShardSlot::default()))
-                .collect(),
-            shards,
-            pool: (threads > 1).then(|| crate::pool::WorkerPool::new(threads - 1)),
+            arena: ComputeArena::default(),
             tracer: None,
             faults: None,
-        }
-    }
-
-    /// The number of shards the compute phase splits the routers into,
-    /// resolved from [`NocConfig::compute_shards`]. The DISCO layer
-    /// reuses it for its own candidate scan.
-    pub fn compute_shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of live pool worker threads: `min(shards, host cores) - 1`.
-    /// `0` whenever one thread suffices: the serial path never spins up
-    /// a pool (pinned by `tests/determinism.rs`).
-    pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.workers())
-    }
-
-    /// The contiguous router range shard `shard` owns. Spans routers
-    /// `0..n` in shard order, which is what lets the commit pass
-    /// walk shard slots sequentially and still visit nodes in order.
-    pub fn shard_span(&self, shard: usize) -> std::ops::Range<usize> {
-        let n = self.routers.len();
-        let chunk = n.div_ceil(self.compute_shards().max(1));
-        let start = (shard * chunk).min(n);
-        start..(start + chunk).min(n)
-    }
-
-    /// Runs `task(shard)` for every shard index. With a pool of `T`
-    /// threads (the parked workers plus the caller), thread `t` runs
-    /// shards `t, t+T, t+2T, …` in order, so a shard always lands on
-    /// the same thread; without one, every shard runs inline in order.
-    /// The DISCO layer reuses this for its candidate scan so both
-    /// phases share one worker set.
-    pub fn run_sharded(&self, task: &(dyn Fn(usize) + Sync)) {
-        let shards = self.shards;
-        match &self.pool {
-            Some(pool) => {
-                let threads = pool.workers() + 1;
-                pool.run(&|t| (t..shards).step_by(threads).for_each(task));
-            }
-            None => (0..shards).for_each(task),
         }
     }
 
@@ -432,12 +345,12 @@ impl Network {
         }
         crate::faults::drain_retransmits(self);
         self.inject();
-        // Detach the arenas from `self` so the compute phase can borrow
-        // the network immutably and the slots mutably at the same time.
-        let mut slots = std::mem::take(&mut self.scratch);
-        self.compute_phase(&mut slots);
-        crate::commit::commit_cycle(self, &mut slots);
-        self.scratch = slots;
+        // Detach the arena from `self` so the compute phase can borrow
+        // the network immutably and the arena mutably at the same time.
+        let mut arena = std::mem::take(&mut self.arena);
+        self.compute_phase(&mut arena);
+        crate::commit::commit_cycle(self, &arena.outcomes);
+        self.arena = arena;
         if cfg!(debug_assertions) {
             if let Err(msg) = self.check_invariants() {
                 panic!("invariant violated: cycle {}: {msg}", self.now);
@@ -445,39 +358,25 @@ impl Network {
         }
     }
 
-    /// Runs [`crate::phase::compute_router`] for every router, shard `s`
-    /// computing its contiguous span into slot `s`. Routers are disjoint
-    /// state and the function is pure, so any shard count fills
-    /// bit-identical outcomes in the same node order. Shards are pinned
-    /// to threads, so a slot's arena stays warm in one thread's cache
-    /// across cycles.
-    fn compute_phase(&self, slots: &mut [Mutex<ShardSlot>]) {
+    /// Runs [`crate::phase::compute_router`] for every router over the
+    /// cycle-start snapshot, filling one outcome per router in node
+    /// order.
+    fn compute_phase(&self, arena: &mut ComputeArena) {
         let now = self.now;
         let gate = self.phase_gate();
-        let slots: &[Mutex<ShardSlot>] = slots;
-        self.run_sharded(&|shard| {
-            let span = self.shard_span(shard);
-            // Uncontended by construction: one thread owns shard `shard`
-            // (see `run_sharded`), so it alone touches slot `shard`.
-            let mut slot = match slots[shard].lock() {
-                Ok(slot) => slot,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let slot = &mut *slot;
-            slot.outcomes
-                .resize_with(span.len(), RouterOutcome::default);
-            for (k, i) in span.enumerate() {
-                crate::phase::compute_router(
-                    &self.routers[i],
-                    now,
-                    &self.store,
-                    &self.topology,
-                    gate,
-                    &mut slot.scratch,
-                    &mut slot.outcomes[k],
-                );
-            }
-        });
+        let ComputeArena { outcomes, scratch } = arena;
+        outcomes.resize_with(self.routers.len(), RouterOutcome::default);
+        for (router, outcome) in self.routers.iter().zip(outcomes.iter_mut()) {
+            crate::phase::compute_router(
+                router,
+                now,
+                &self.store,
+                &self.topology,
+                gate,
+                scratch,
+                outcome,
+            );
+        }
     }
 
     /// NI injection: one flit per tile per cycle, round-robin over VCs.
@@ -902,51 +801,6 @@ mod tests {
         assert!(n.is_idle());
     }
 
-    /// Sharding only changes scheduling of the pure compute phase, so
-    /// every router's full state and every counter must match the
-    /// single-shard run bit for bit, cycle by cycle.
-    #[test]
-    fn sharded_compute_matches_serial() {
-        let run = |shards: usize| {
-            let config = NocConfig {
-                compute_shards: shards,
-                ..NocConfig::default()
-            };
-            let mut n = Network::new(Mesh::new(4, 4), config);
-            let line = CacheLine::from_u64_words([3, 5, 7, 9, 11, 13, 15, 17]);
-            for i in 0..16usize {
-                n.send(
-                    NodeId(i),
-                    NodeId((i + 5) % 16),
-                    PacketClass::Response,
-                    Payload::Raw(line),
-                    true,
-                    i as u64,
-                );
-                n.send(
-                    NodeId(i),
-                    NodeId((i * 3 + 1) % 16),
-                    PacketClass::Request,
-                    Payload::None,
-                    false,
-                    i as u64,
-                );
-            }
-            for _ in 0..400 {
-                n.tick();
-            }
-            // Routers embed a copy of the config; mask the one field that
-            // legitimately differs between runs so everything else must
-            // match bit for bit.
-            let routers = format!("{:?}", n.routers)
-                .replace(&format!("compute_shards: {shards}"), "compute_shards: _");
-            (format!("{:?}", n.stats()), routers)
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(4), "4 shards must be bit-exact");
-        assert_eq!(serial, run(16), "one router per shard must be bit-exact");
-    }
-
     #[test]
     fn invariants_hold_under_load() {
         let mut n = net(4, 4);
@@ -1167,9 +1021,8 @@ impl Network {
     /// Writes the network's complete mutable state: every router's VC
     /// arenas and credits, the packet store, the NI injection queues,
     /// delivery queues, counters, and (when they are on) the trace ring
-    /// and the fault-recovery ledger. The topology, config,
-    /// and the parallel compute arenas (`scratch`, `shards`, `pool`) are
-    /// rebuilt from config on restore.
+    /// and the fault-recovery ledger. The topology, config and compute
+    /// arena are rebuilt from config on restore.
     pub fn snap_state(&self, w: &mut disco_snapshot::Writer) {
         w.put(&(self.routers.len() as u64));
         for router in &self.routers {

@@ -31,10 +31,10 @@
 //! allocator.
 //!
 //! Because every router's outcome depends only on the cycle-start
-//! snapshot, the compute phase may run for all routers in any order —
-//! or in parallel (`NocConfig::compute_shards`) — and the result is
-//! identical by construction. All mutation happens afterwards in the
-//! commit pass ([`crate::commit`]), in fixed node order.
+//! snapshot, the compute phase may visit the routers in any order and
+//! the result is identical by construction. All mutation happens
+//! afterwards in the commit pass ([`crate::commit`]), in fixed node
+//! order.
 
 use crate::config::FlowControl;
 use crate::packet::{Flit, Packet, PacketClass, PacketStore, Payload};
@@ -74,7 +74,7 @@ pub(crate) struct RouterOutcome {
     pub sa_losers: Vec<(usize, usize)>,
     /// Trace events decided this cycle, in stage order. Carried out of
     /// the pure compute phase and cycle-stamped by the commit pass in
-    /// node order, which keeps the trace shard-count invariant.
+    /// node order, so the trace follows the commit order.
     /// Records only while the network is tracing, so it stays empty
     /// (and unallocated) otherwise.
     pub events: disco_trace::EventList,
@@ -126,9 +126,9 @@ struct Request {
     prio: Option<u8>,
 }
 
-/// Reusable per-shard working memory for [`compute_router`]: the SA
-/// requests per output port and the VA losers. One arena serves every
-/// router of a shard in sequence; capacities grow to the high-water mark
+/// Reusable working memory for [`compute_router`]: the SA requests per
+/// output port and the VA losers. One arena serves every router in
+/// sequence; capacities grow to the high-water mark
 /// once and then stay — no per-router, per-cycle allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ComputeScratch {

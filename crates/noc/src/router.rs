@@ -246,7 +246,7 @@ impl fmt::Debug for Router {
         }
         f.debug_struct("Router")
             .field("node", &self.node)
-            .field("config", &self.config)
+            .field("config", &ConfigText(&self.config))
             .field("ports", &self.ports)
             .field("link_ports", &self.link_ports)
             .field("inputs", &Inputs(self))
@@ -255,6 +255,34 @@ impl fmt::Debug for Router {
             .field("rr_sa", &self.rr_sa)
             .field("sa_losers", &self.sa_losers)
             .field("buffered", &self.buffered)
+            .finish()
+    }
+}
+
+/// The router's config in the text `NocConfig`'s derived `Debug` gave
+/// while the config also carried a compute-phase shard count, which was
+/// 0 in every recorded run. `tests/golden_kernel.txt` hashes this text
+/// every cycle, so the retired field stays in it.
+struct ConfigText<'a>(&'a NocConfig);
+
+impl fmt::Debug for ConfigText<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let NocConfig {
+            vcs,
+            buffer_depth,
+            pipeline_stages,
+            flow_control,
+            routing,
+            scheduling,
+        } = self.0;
+        f.debug_struct("NocConfig")
+            .field("vcs", vcs)
+            .field("buffer_depth", buffer_depth)
+            .field("pipeline_stages", pipeline_stages)
+            .field("flow_control", flow_control)
+            .field("routing", routing)
+            .field("scheduling", scheduling)
+            .field("compute_shards", &0usize)
             .finish()
     }
 }

@@ -1,5 +1,5 @@
 //! Pins the zero-allocation contract of the cycle kernel: once the
-//! per-shard arenas have reached their high-water capacity, a
+//! compute arena has reached its high-water capacity, a
 //! steady-state [`Network::tick`] performs **no** heap allocation — no
 //! per-router outcome vectors, no RC/VA/SA request or loser lists, no
 //! per-flit `flits_for` buffers, also while packets contend for an

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use disco_core::CompressionPlacement;
 use disco_energy::AreaModel;
 
-use crate::exec::{fan_out, oversubscription_warning, run_point_checked};
+use crate::exec::{fan_out, oversubscription_warning};
 use crate::frontier::{self, Frontier};
 use crate::journal::{Journal, JournalEntry};
 use crate::json::json_escape;
@@ -27,9 +27,8 @@ pub struct ExploreConfig {
     pub space: DesignSpace,
     /// Worker threads fanning over points (≤ 1 = serial).
     pub workers: usize,
-    /// Compute shards for the *checked* leg of each point's
-    /// serial-vs-parallel divergence test (≤ 1 skips the second run; the
-    /// journaled result is always the serial reference either way).
+    /// Ignored: every point runs once, on one thread. The field remains
+    /// only so existing struct literals keep compiling.
     pub shards: usize,
     /// Journal path; `None` explores entirely in memory (no resume).
     pub journal: Option<PathBuf>,
@@ -98,7 +97,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
 
     let mut warnings = Vec::new();
     let host = std::thread::available_parallelism().map_or(0, |n| n.get());
-    if let Some(w) = oversubscription_warning("pareto", cfg.workers, cfg.shards, host) {
+    if let Some(w) = oversubscription_warning("pareto", cfg.workers, host) {
         warnings.push(w);
     }
 
@@ -112,9 +111,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
 
     let mut completed = 0;
     for chunk in pending.chunks(CHUNK.max(cfg.workers)) {
-        let entries = fan_out(chunk, cfg.workers, |&(id, spec)| {
-            run_point(id, spec, cfg.shards)
-        });
+        let entries = fan_out(chunk, cfg.workers, |&(id, spec)| run_point(id, spec));
         if let Some(j) = &journal {
             j.append(&entries);
         }
@@ -144,29 +141,12 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreOutcome {
     }
 }
 
-/// Simulates one point: the serial reference run, optionally re-run
-/// sharded for the divergence check, then objectives + energy breakdown.
-fn run_point(id: u64, spec: &RunSpec, shards: usize) -> JournalEntry {
-    let run = |compute_shards: usize| {
-        let report = RunSpec {
-            compute_shards,
-            ..*spec
-        }
+/// Simulates one point and derives its objectives + energy breakdown.
+fn run_point(id: u64, spec: &RunSpec) -> JournalEntry {
+    let report = spec
         .builder()
         .run()
         .unwrap_or_else(|e| panic!("point {id} ({spec:?}) failed: {e:?}"));
-        let mut stats = Vec::new();
-        report.write_stats(&mut stats).expect("in-memory write");
-        (report, stats)
-    };
-    let (report, deterministic) = if shards > 1 {
-        let ((report, _), agreed) =
-            run_point_checked(|| run(1), || run(shards), |(_, stats)| stats.clone());
-        (report, agreed)
-    } else {
-        (run(1).0, true)
-    };
-
     let er = report.energy_report();
     JournalEntry {
         id,
@@ -178,7 +158,7 @@ fn run_point(id: u64, spec: &RunSpec, shards: usize) -> JournalEntry {
         cache_dynamic_pj: er.breakdown.cache_dynamic_pj,
         cache_static_pj: er.breakdown.cache_static_pj,
         compressor_pj: er.breakdown.compressor_pj,
-        deterministic,
+        deterministic: true,
     }
 }
 
@@ -297,9 +277,8 @@ fn render(
             gamma,
             alpha,
             beta,
-            // Not axes: every point runs serially, on the automatic
-            // cycle budget, without faults (`DesignSpace::points`).
-            compute_shards: _,
+            // Not axes: every point runs on the automatic cycle budget,
+            // without faults (`DesignSpace::points`).
             max_cycles: _,
             fault_rate: _,
         } = p;

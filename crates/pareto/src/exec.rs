@@ -1,8 +1,7 @@
 //! Point execution machinery shared by the DSE driver and the
-//! `disco-bench` sweep harness: the order-preserving worker fan-out,
-//! the per-point serial-vs-parallel divergence check, and the
-//! configuration warnings (shard over-subscription, expected-injection)
-//! that used to live in two places.
+//! `disco-bench` sweep harness: the order-preserving worker fan-out and
+//! the configuration warnings (worker over-subscription,
+//! expected-injection).
 
 /// Runs `f` over every item, fanning round-robin across `workers` OS
 /// threads (≤ 1 = fully serial). Results come back **in item order**
@@ -50,49 +49,20 @@ pub fn fan_out<T: Sync, R: Send>(
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs one point twice — the serial reference, then the parallel
-/// configuration under test — and reports whether they agree on `key`
-/// (typically the full rendered stats): the `sweep.rs`
-/// serial-vs-parallel divergence check, applied per point. Returns the
-/// reference result and the verdict (the reference is kept either way,
-/// so a divergence is *reported*, never silently shipped).
-pub fn run_point_checked<T, K: PartialEq>(
-    serial: impl FnOnce() -> T,
-    parallel: impl FnOnce() -> T,
-    key: impl Fn(&T) -> K,
-) -> (T, bool) {
-    let reference = serial();
-    let agreed = key(&parallel()) == key(&reference);
-    (reference, agreed)
-}
-
-/// The structured warning for worker/shard over-subscription: asking
-/// for more concurrent OS threads than the host has cores measures
-/// scheduler noise, not the simulator. Each worker's network runs at
-/// most `min(shards, host_cores)` threads, so that is what a worker
-/// counts for. Returns a single JSON line, or `None` when the
-/// configuration is sound.
-pub fn oversubscription_warning(
-    label: &str,
-    workers: usize,
-    shards_per_worker: usize,
-    host_cores: usize,
-) -> Option<String> {
-    if host_cores == 0 {
-        return None;
-    }
-    let requested = workers.max(1) * shards_per_worker.clamp(1, host_cores);
-    if requested <= host_cores {
+/// The structured warning for worker over-subscription: asking for more
+/// concurrent OS threads than the host has cores measures scheduler
+/// noise, not the simulator. Each worker runs one simulation on one
+/// thread. Returns a single JSON line, or `None` when the configuration
+/// is sound.
+pub fn oversubscription_warning(label: &str, workers: usize, host_cores: usize) -> Option<String> {
+    if host_cores == 0 || workers <= host_cores {
         return None;
     }
     Some(format!(
         "{{\"warning\":\"thread_oversubscription\",\"harness\":\"{}\",\
-         \"workers\":{},\"shards_per_worker\":{},\"requested_threads\":{requested},\
-         \"host_cores\":{host_cores},\"hint\":\"throughput numbers will measure \
-         scheduler contention; lower --workers or --shards\"}}",
+         \"workers\":{workers},\"host_cores\":{host_cores},\"hint\":\"throughput \
+         numbers will measure scheduler contention; lower --workers\"}}",
         crate::json::json_escape(label),
-        workers.max(1),
-        shards_per_worker.max(1),
     ))
 }
 
@@ -139,32 +109,14 @@ mod tests {
     }
 
     #[test]
-    fn divergence_check_reports_disagreement() {
-        let (v, ok) = run_point_checked(|| 7, || 7, |&x: &i32| x);
-        assert!(ok);
-        assert_eq!(v, 7);
-        let (v, ok) = run_point_checked(|| 7, || 8, |&x: &i32| x);
-        assert!(!ok, "disagreement must be reported");
-        assert_eq!(v, 7, "the serial reference is kept");
-        // The key projection lets uncomparable payloads ride along.
-        let (v, ok) = run_point_checked(|| (7, "meta"), || (7, "other"), |t| t.0);
-        assert!(ok, "only the key is compared");
-        assert_eq!(v, (7, "meta"));
-    }
-
-    #[test]
     fn oversubscription_warns_only_past_host_cores() {
-        assert!(oversubscription_warning("sweep", 4, 1, 8).is_none());
-        assert!(oversubscription_warning("sweep", 8, 1, 8).is_none());
-        let w = oversubscription_warning("sweep", 8, 2, 8).expect("warns");
-        assert!(w.contains("\"requested_threads\":16"));
+        assert!(oversubscription_warning("sweep", 4, 8).is_none());
+        assert!(oversubscription_warning("sweep", 8, 8).is_none());
+        let w = oversubscription_warning("pareto", 3, 2).expect("warns");
         assert!(w.contains("thread_oversubscription"));
-        // A network never runs more threads than the host has cores.
-        assert!(oversubscription_warning("pareto", 1, 4, 2).is_none());
-        let w = oversubscription_warning("pareto", 2, 4, 2).expect("warns");
-        assert!(w.contains("\"requested_threads\":4"));
+        assert!(w.contains("\"workers\":3,\"host_cores\":2"));
         // Unknown host parallelism: stay quiet rather than guess.
-        assert!(oversubscription_warning("sweep", 64, 4, 0).is_none());
+        assert!(oversubscription_warning("sweep", 64, 0).is_none());
     }
 
     #[test]

@@ -30,8 +30,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// One journaled point: the measured objectives plus the per-point
-/// energy breakdown and the serial-vs-sharded divergence verdict. No
-/// wall-clock anywhere — the journal must be byte-stable across reruns.
+/// energy breakdown. No wall-clock anywhere — the journal must be byte-stable across reruns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JournalEntry {
     /// Design-point id (enumeration order within the space).
@@ -52,8 +51,10 @@ pub struct JournalEntry {
     pub cache_static_pj: f64,
     /// Compressor/decompressor energy, pJ.
     pub compressor_pj: f64,
-    /// Whether the sharded rerun of this point matched the serial
-    /// reference stat-for-stat.
+    /// `true` for every point run today. Journals and the frontier JSON
+    /// keep the key from when a point could be re-run on a sharded
+    /// kernel and compared with the serial run, so older journals still
+    /// resume and the rendered JSON keeps its shape.
     pub deterministic: bool,
 }
 

@@ -181,7 +181,6 @@ impl DesignSpace {
                                     gamma,
                                     alpha,
                                     beta,
-                                    compute_shards: 1,
                                     max_cycles: 0,
                                     fault_rate: 0.0,
                                 });

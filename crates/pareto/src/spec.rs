@@ -57,8 +57,6 @@ pub struct RunSpec {
     pub alpha: f64,
     /// β, the Eq. 2 distance coefficient (DISCO only).
     pub beta: f64,
-    /// Kernel shard request (see `NocConfig::compute_shards`).
-    pub compute_shards: usize,
     /// Cycle budget (0 = auto).
     pub max_cycles: u64,
     /// Uniform fault rate (0 = no fault plan).
@@ -84,7 +82,6 @@ impl RunSpec {
             gamma,
             alpha,
             beta,
-            compute_shards,
             max_cycles,
             fault_rate,
         } = *self;
@@ -107,7 +104,6 @@ impl RunSpec {
             .noc(NocConfig {
                 vcs,
                 buffer_depth,
-                compute_shards,
                 ..NocConfig::default()
             })
             .max_cycles(max_cycles);
@@ -134,7 +130,9 @@ impl RunSpec {
     /// Keys: `mesh` (or `cols`/`rows`, required), `topology` (`mesh`),
     /// `placement` (`disco`), `scheme` (`Delta`), `benchmark`
     /// (`blackscholes`), `trace_len` (required), `seed` (1),
-    /// `compute_shards` (1), `max_cycles` (0 = auto), `fault_rate` (0).
+    /// `max_cycles` (0 = auto), `fault_rate` (0). Unknown keys are
+    /// ignored, so an older entry that still names a kernel shard count
+    /// is accepted: every shard count simulated the same run.
     /// NoC buffering and the DISCO parameters take their defaults. The
     /// grid must be 2..=[`MAX_GRID_SIDE`] per side and the total trace
     /// at most [`MAX_TOTAL_ACCESSES`]; `fault_rate` must be finite and
@@ -239,10 +237,6 @@ impl RunSpec {
             gamma: disco.gamma,
             alpha: disco.alpha,
             beta: disco.beta,
-            compute_shards: obj
-                .get("compute_shards")
-                .and_then(Json::as_u64)
-                .unwrap_or(1) as usize,
             max_cycles: obj.get("max_cycles").and_then(Json::as_u64).unwrap_or(0),
             fault_rate,
         })
@@ -272,38 +266,41 @@ mod tests {
 
     #[test]
     fn documented_queue_entry_takes_todays_defaults() {
-        // The example entry of ARCHITECTURE.md's "Server mode" queue.
-        let entry = crate::json::parse(
-            r#"{"name": "bs-disco", "mesh": 4, "topology": "mesh",
+        // The example entry of ARCHITECTURE.md's "Server mode" queue; an
+        // older entry that still carries a shard count parses the same.
+        let documented = r#"{"name": "bs-disco", "mesh": 4, "topology": "mesh",
                 "placement": "disco", "scheme": "delta",
                 "benchmark": "blackscholes", "trace_len": 10000, "seed": 1,
-                "compute_shards": 1, "max_cycles": 0, "fault_rate": 0.0}"#,
-        )
-        .expect("valid JSON");
-        let spec = RunSpec::from_json(&entry, "jobs[0]").expect("valid entry");
+                "max_cycles": 0, "fault_rate": 0.0}"#;
+        let with_shards = documented.replace(r#""seed": 1,"#, r#""seed": 1, "compute_shards": 4,"#);
+        assert_ne!(documented, with_shards);
         let disco = DiscoParams::default();
-        assert_eq!(
-            spec,
-            RunSpec {
-                cols: 4,
-                rows: 4,
-                topology: TopologyChoice::Mesh,
-                vcs: 2,
-                buffer_depth: 8,
-                placement: CompressionPlacement::Disco,
-                scheme: SchemeKind::Delta,
-                benchmark: Benchmark::Blackscholes,
-                trace_len: 10000,
-                seed: 1,
-                cc_threshold: disco.cc_threshold,
-                cd_threshold: disco.cd_threshold,
-                gamma: disco.gamma,
-                alpha: disco.alpha,
-                beta: disco.beta,
-                compute_shards: 1,
-                max_cycles: 0,
-                fault_rate: 0.0,
-            }
-        );
+        for text in [documented, with_shards.as_str()] {
+            let entry = crate::json::parse(text).expect("valid JSON");
+            let spec = RunSpec::from_json(&entry, "jobs[0]").expect("valid entry");
+            assert_eq!(
+                spec,
+                RunSpec {
+                    cols: 4,
+                    rows: 4,
+                    topology: TopologyChoice::Mesh,
+                    vcs: 2,
+                    buffer_depth: 8,
+                    placement: CompressionPlacement::Disco,
+                    scheme: SchemeKind::Delta,
+                    benchmark: Benchmark::Blackscholes,
+                    trace_len: 10000,
+                    seed: 1,
+                    cc_threshold: disco.cc_threshold,
+                    cd_threshold: disco.cd_threshold,
+                    gamma: disco.gamma,
+                    alpha: disco.alpha,
+                    beta: disco.beta,
+                    max_cycles: 0,
+                    fault_rate: 0.0,
+                },
+                "{text}"
+            );
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! End-to-end determinism contract of the exploration driver: the
 //! rendered frontier JSON is byte-identical for any worker count and
-//! across any kill-and-resume sequence, and every dominated point's
-//! proof re-checks against the measured objectives.
+//! across any kill-and-resume sequence, every dominated point's proof
+//! re-checks against the measured objectives, and the smoke grid still
+//! renders the committed `PARETO_pr10.json` byte for byte.
 
 use disco_pareto::frontier::dominates;
 use disco_pareto::journal::Journal;
@@ -32,6 +33,28 @@ fn tmp(name: &str) -> PathBuf {
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path);
     path
+}
+
+/// The committed smoke-grid frontier (`pareto --grid smoke`) is a
+/// checked artifact: exploring the same grid must reproduce it exactly.
+#[test]
+fn smoke_grid_reproduces_the_committed_frontier() {
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../PARETO_pr10.json"
+    ))
+    .expect("PARETO_pr10.json is committed at the repository root");
+    let outcome = explore(&ExploreConfig {
+        workers: 2,
+        ..ExploreConfig::new(DesignSpace::smoke())
+    });
+    assert_eq!(outcome.remaining, 0);
+    let json = outcome.json.expect("complete");
+    assert!(
+        json == committed,
+        "the smoke-grid frontier differs from PARETO_pr10.json \
+         (rerun `pareto --grid smoke --workers 2 --out <file>` and diff)"
+    );
 }
 
 #[test]

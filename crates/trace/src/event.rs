@@ -1,8 +1,8 @@
 //! Typed trace events and their cycle-stamped records.
 //!
 //! Every field is an integer (or bool) derived from simulation state, so
-//! serialized records are bit-reproducible across hosts and shard
-//! counts. Identifier widths follow the simulator: packet ids are `u64`
+//! serialized records are bit-reproducible across hosts. Identifier
+//! widths follow the simulator: packet ids are `u64`
 //! ([`PacketId`](../../noc/src/packet.rs) indices), node ids fit `u16`
 //! (meshes are at most 256×256), ports/VCs/directions fit `u8`.
 

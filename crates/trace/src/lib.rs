@@ -23,10 +23,10 @@
 //!    hidden-latency coverage (codec cycles overlapped with queuing),
 //!    and exporters to JSONL and Chrome/Perfetto `trace.json`.
 //!
-//! Determinism contract: events must be recorded from serial,
-//! node-ordered code (the commit phase of the cycle kernel), and every
-//! field is an integer derived from simulation state. Under that
-//! contract the exported JSONL is byte-identical at any shard count.
+//! Determinism contract: events must be recorded from node-ordered code
+//! (the commit phase of the cycle kernel), and every field is an
+//! integer derived from simulation state. Under that contract the
+//! exported JSONL is byte-identical across runs and hosts.
 
 pub mod event;
 pub mod export;

@@ -18,7 +18,7 @@
 //!    `sa_losers` directly.
 //! 3. **No wall-clock in the trace path** — trace records are stamped
 //!    with the simulated cycle, never host time, or the export stops
-//!    being byte-identical across shard counts and reruns. Nothing under
+//!    being byte-identical across reruns and hosts. Nothing under
 //!    `crates/trace/src` and no emission-site file may mention
 //!    `std::time`, `Instant`, or `SystemTime`.
 //! 4. **Compute-phase purity** — `compute_router` keeps its
@@ -57,7 +57,6 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/noc/src/router.rs",
     "crates/noc/src/network.rs",
     "crates/noc/src/phase.rs",
-    "crates/noc/src/pool.rs",
     "crates/noc/src/commit.rs",
     "crates/noc/src/routing.rs",
     "crates/noc/src/packet.rs",
@@ -110,7 +109,6 @@ impl std::fmt::Display for Violation {
 /// throughput measurement and are deliberately out of scope.)
 pub const WALLCLOCK_FREE: &[&str] = &[
     "crates/noc/src/phase.rs",
-    "crates/noc/src/pool.rs",
     "crates/noc/src/commit.rs",
     "crates/noc/src/network.rs",
     "crates/core/src/engine.rs",

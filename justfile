@@ -30,12 +30,10 @@ verify:
 verify-json:
     cargo xtask verify --json VERIFY_REPORT.json
 
-# Workspace tests (traced, faulty and sharded legs included; test builds
-# check the NoC invariants every cycle), plus the slow ignored
-# determinism matrix.
+# Workspace tests (traced and faulty legs included; test builds check
+# the NoC invariants every cycle).
 test:
     cargo test --workspace -q
-    cargo test -q -p disco --test determinism -- --ignored
 
 # Regenerate the EXPERIMENTS.md provenance tables and the sample trace
 # exports (results/trace_disco_4x4.json / .jsonl, untracked).

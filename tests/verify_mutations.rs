@@ -240,8 +240,8 @@ fn cfg_hidden_wallclock_caught_by_ast_missed_by_string_scan() {
 
 /// A compute phase whose kernel takes `&mut Router` — the exact
 /// signature change that would let per-cycle code mutate shared state
-/// and break shard determinism. The purity check pins the shared
-/// reference.
+/// mid-phase, so a router's outcome would depend on the routers computed
+/// before it. The purity check pins the shared reference.
 #[test]
 fn compute_phase_mutable_signature_is_caught() {
     let defect = "
