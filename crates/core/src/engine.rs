@@ -30,7 +30,7 @@ use crate::protocol::Msg;
 use disco_compress::scheme::Compressor;
 use disco_compress::Codec;
 use disco_noc::routing::remaining_hops;
-use disco_noc::{Network, NodeId, PacketId, Payload, FLIT_BYTES};
+use disco_noc::{BitSet, Network, NodeId, PacketId, Payload, FLIT_BYTES};
 use disco_trace::codec::{ABORTED, DONE, GROWTH_STALL, INCOMPRESSIBLE};
 
 /// Flits the compressor datapath consumes per cycle once committed
@@ -171,13 +171,14 @@ struct NodeScan {
     low_confidence: u64,
 }
 
-/// The reusable scan arena: one scan result per node plus the
-/// busy-packet working list. Like the NoC's compute arena, allocations
-/// reach their high-water mark once and are reused every cycle.
+/// The reusable scan arena: the scan result of the node under scan plus
+/// the busy-packet working list. Like the NoC's compute arena,
+/// allocations reach their high-water mark once and are reused every
+/// cycle.
 #[derive(Debug, Default)]
 struct ScanArena {
-    /// One scan per node, in node order.
-    scans: Vec<NodeScan>,
+    /// The scan of the node under scan.
+    scan: NodeScan,
     /// Packets already claimed by engines or earlier slots of the node
     /// under scan.
     busy: Vec<PacketId>,
@@ -190,6 +191,9 @@ pub struct DiscoLayer {
     params: DiscoParams,
     codec: Codec,
     engines: Vec<Vec<Option<Operation>>>,
+    /// Nodes with at least one live operation: the only engines a tick
+    /// steps. Rebuilt from `engines` on restore.
+    live: BitSet,
     stats: DiscoStats,
     /// Completed de/compressions per router, for locating where in the
     /// mesh the mechanism works (hotspot heatmaps).
@@ -213,6 +217,7 @@ impl DiscoLayer {
             params,
             codec,
             engines: vec![vec![None; params.engines_per_router.max(1)]; nodes],
+            live: BitSet::new(nodes),
             per_node_ops: vec![0; nodes],
             stats: DiscoStats::default(),
             cc_eff: params.cc_threshold,
@@ -255,6 +260,12 @@ impl DiscoLayer {
         }
     }
 
+    /// True while some engine holds an operation.
+    #[cfg(test)]
+    pub(crate) fn is_busy(&self) -> bool {
+        !self.live.is_empty()
+    }
+
     /// Counters so far.
     pub fn stats(&self) -> &DiscoStats {
         &self.stats
@@ -273,26 +284,41 @@ impl DiscoLayer {
     /// Runs every router's engine for one cycle. Call after
     /// [`Network::tick`] so the cycle's allocation losers are fresh.
     ///
-    /// Mirrors the NoC's compute → commit split: engine *progress*
-    /// (`step_engine`) mutates shared state and runs in node order; the
-    /// candidate *scan* is a pure function of the resulting network
-    /// state; the *commit* applies the chosen starts in node order.
+    /// Engine *progress* (`step_engine`) runs first, in node order, on
+    /// the nodes with a live operation only. Then each node in turn is
+    /// *scanned* — a pure function of the network state — and its chosen
+    /// starts are *committed* at once. A node's starts touch only its
+    /// own engines and VC locks, which no other node's scan reads, so
+    /// the result is the same as scanning every node before committing
+    /// any. Only nodes that can start something are scanned: an idle
+    /// engine slot, and fresh allocation losers or a response packet
+    /// waiting at one of its NIs. A scan anywhere else would find no
+    /// candidate, start nothing and count no low-confidence event.
     pub fn tick(&mut self, net: &mut Network) {
         self.cycle += 1;
         if self.params.adaptive && self.cycle - self.epoch_started >= self.params.epoch_cycles {
             self.epoch_started = self.cycle;
             self.adapt();
         }
-        for node in 0..self.engines.len() {
+        let mut next = self.live.next_from(0);
+        while let Some(node) = next {
+            next = self.live.next_from(node + 1);
             for slot in 0..self.engines[node].len() {
                 self.step_engine(net, node, slot);
+            }
+            if self.engines[node].iter().all(Option::is_none) {
+                self.live.remove(node);
             }
         }
         // Detach the arena so the scan can borrow `self` immutably and
         // the arena mutably at the same time (mirrors `Network::tick`).
         let mut arena = std::mem::take(&mut self.scan_arena);
-        self.compute_scans(net, &mut arena);
-        for (node, scan) in arena.scans.iter().enumerate() {
+        let ScanArena { scan, busy } = &mut arena;
+        for node in 0..self.engines.len() {
+            if !self.may_start(net, node) {
+                continue;
+            }
+            self.scan_node_into(net, node, busy, scan);
             self.stats.low_confidence += scan.low_confidence;
             for &action in &scan.starts {
                 self.commit_start(net, node, action);
@@ -301,14 +327,28 @@ impl DiscoLayer {
         self.scan_arena = arena;
     }
 
-    /// Scan phase: runs [`scan_node_into`](Self::scan_node_into) for
-    /// every node, in node order.
-    fn compute_scans(&self, net: &Network, arena: &mut ScanArena) {
-        let ScanArena { scans, busy } = arena;
-        scans.resize_with(self.engines.len(), NodeScan::default);
-        for (node, scan) in scans.iter_mut().enumerate() {
-            self.scan_node_into(net, node, busy, scan);
+    /// True when a scan of `node` could find a candidate: an engine slot
+    /// is idle, and the router lost an allocation this cycle or one of
+    /// its tiles has a response packet in its NI queue.
+    fn may_start(&self, net: &Network, node: usize) -> bool {
+        if self.engines[node].iter().all(Option::is_some) {
+            return false;
         }
+        if !net.router(NodeId(node)).sa_losers().is_empty() {
+            return true;
+        }
+        let concentration = net.topology().concentration();
+        let response_vc = Self::response_vc(net);
+        (node * concentration..(node + 1) * concentration)
+            .any(|tile| !net.inject_backlog(NodeId(tile), response_vc).is_empty())
+    }
+
+    /// The VC whose NI backlog holds the response packets the scan may
+    /// compress before injection.
+    fn response_vc(net: &Network) -> usize {
+        disco_noc::PacketClass::Response
+            .vc()
+            .min(net.config().vcs - 1)
     }
 
     /// Pure per-node scan: decides which packets this node's idle engine
@@ -604,9 +644,7 @@ impl DiscoLayer {
         // router serves one NI queue per attached tile (more than one
         // only on the concentrated mesh); for a queued pick the
         // StartAction's `port` field carries the tile index.
-        let response_vc = disco_noc::PacketClass::Response
-            .vc()
-            .min(net.config().vcs - 1);
+        let response_vc = Self::response_vc(net);
         let concentration = net.topology().concentration();
         for tile in node * concentration..(node + 1) * concentration {
             let tile_id = NodeId(tile);
@@ -698,6 +736,7 @@ impl DiscoLayer {
         if blocking {
             net.router_mut(NodeId(node)).set_locked(port, vc, true);
         }
+        self.live.insert(node);
         self.engines[node][slot] = Some(Operation {
             mode,
             packet,
@@ -1140,7 +1179,8 @@ disco_snapshot::snap_fields!(Operation {
 impl DiscoLayer {
     /// Writes the layer's mutable state: every engine, the arbitrator's
     /// effective thresholds, epoch bookkeeping, and counters. `params`,
-    /// the codec, and the scan arena are rebuilt from config on restore.
+    /// the codec, and the scan arena are rebuilt from config on restore,
+    /// and the live-node set from the engines.
     pub fn snap_state(&self, w: &mut disco_snapshot::Writer) {
         w.put(&self.engines);
         w.put(&self.stats);
@@ -1167,6 +1207,12 @@ impl DiscoLayer {
             )));
         }
         self.engines = engines;
+        self.live = BitSet::new(self.engines.len());
+        for (node, slots) in self.engines.iter().enumerate() {
+            if slots.iter().any(Option::is_some) {
+                self.live.insert(node);
+            }
+        }
         self.stats = r.take()?;
         self.per_node_ops = r.take()?;
         self.cc_eff = r.take()?;

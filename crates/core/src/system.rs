@@ -162,6 +162,16 @@ impl Tile {
     fn done(&self) -> bool {
         self.pos >= self.trace.len() && self.mshr.in_use() == 0
     }
+
+    /// The cycle this core's next trace access may issue, or `u64::MAX`
+    /// once the trace is done.
+    fn issue_at(&self) -> u64 {
+        if self.pos < self.trace.len() {
+            self.next_issue_at
+        } else {
+            u64::MAX
+        }
+    }
 }
 
 /// Deferred work scheduled on the system event queue.
@@ -258,6 +268,10 @@ pub struct System {
     /// Reused buffer for one node's deliveries in [`System::tick`];
     /// empty between ticks.
     arrivals: Vec<Packet>,
+    /// [`Tile::issue_at`] of every core, kept beside the tiles so the
+    /// issue loop reads one small array, not every tile. Rebuilt from
+    /// the tiles on restore.
+    issue_at: Vec<u64>,
 }
 
 impl System {
@@ -493,14 +507,17 @@ impl System {
             self.disco = Some(layer);
         }
         // Deliveries → events, through a buffer that keeps its capacity
-        // from tick to tick.
+        // from tick to tick. Only tiles with deliveries are visited, in
+        // ascending order.
         let nodes = self.tiles.len();
         let mut arrivals = std::mem::take(&mut self.arrivals);
-        for node in 0..nodes {
-            self.net.drain_delivered(NodeId(node), &mut arrivals);
+        let mut next = self.net.next_delivery_tile(NodeId(0));
+        while let Some(node) = next {
+            self.net.drain_delivered(node, &mut arrivals);
             for pkt in arrivals.drain(..) {
-                self.handle_delivery(node, pkt);
+                self.handle_delivery(node.0, pkt);
             }
+            next = self.net.next_delivery_tile(NodeId(node.0 + 1));
         }
         self.arrivals = arrivals;
         // Run due events (newly scheduled zero-delay events run this
@@ -519,9 +536,11 @@ impl System {
                 self.handle_event(ev);
             }
         }
-        // Cores issue.
+        // Cores issue; a core whose next access is not due is skipped.
         for core in 0..nodes {
-            self.issue_core(core);
+            if self.issue_at[core] <= now {
+                self.issue_core(core);
+            }
         }
         self.drain_trace_tick();
     }
@@ -630,6 +649,7 @@ impl System {
             if let Some(next) = t.trace.get(t.pos) {
                 t.next_issue_at = now + next.gap;
             }
+            self.issue_at[core] = t.issue_at();
         }
     }
 
@@ -1467,6 +1487,7 @@ impl SimBuilder {
                 }
             })
             .collect();
+        let issue_at = tiles.iter().map(Tile::issue_at).collect();
         let bank_cfg = BankConfig {
             compressed: self.placement.compressed_storage(),
             ..BankConfig::default()
@@ -1524,6 +1545,7 @@ impl SimBuilder {
                 retain: self.retain_trace_records,
             }),
             arrivals: Vec::new(),
+            issue_at,
         }
     }
 }
@@ -1929,6 +1951,7 @@ impl System {
         for t in &mut self.tiles {
             t.restore_state(r)?;
         }
+        self.issue_at = self.tiles.iter().map(Tile::issue_at).collect();
         let banks: usize = r.take()?;
         if banks != self.banks.len() {
             return Err(disco_snapshot::malformed(format!(
@@ -2319,6 +2342,43 @@ mod tests {
         let bytes = sys.snapshot();
         let restored = System::restore(&bytes).expect("restores");
         assert_eq!(bytes, restored.snapshot(), "restore is lossless");
+    }
+
+    /// A cut while packets wait at the NIs and a DISCO engine is busy:
+    /// the network rebuilds its busy-tile set and per-tile injection
+    /// counts, and the DISCO layer its live-engine set, on restore, so
+    /// injection and the engines pick up where they stopped.
+    #[test]
+    fn snapshot_with_queued_ni_packets_resumes_byte_identically() {
+        let builder = SimBuilder::new()
+            .mesh(4, 4)
+            .placement(CompressionPlacement::Disco)
+            .benchmark(Benchmark::Canneal)
+            .trace_len(200)
+            .seed(9);
+        let unbroken = builder.clone().run().expect("drains");
+        let mut sys = builder.build();
+        let queued = |sys: &System| {
+            let vcs = sys.net.config().vcs;
+            (0..sys.tiles.len())
+                .map(|t| {
+                    (0..vcs)
+                        .map(|vc| sys.net.inject_backlog(NodeId(t), vc).len())
+                        .sum::<usize>()
+                })
+                .filter(|&n| n > 0)
+                .count()
+        };
+        let engines_busy = |sys: &System| sys.disco.as_ref().is_some_and(DiscoLayer::is_busy);
+        while queued(&sys) < 2 || !engines_busy(&sys) {
+            let next = sys.now() + 1;
+            assert!(!sys.step_until(next).expect("within budget"), "still busy");
+        }
+        let bytes = sys.snapshot();
+        let restored = System::restore(&bytes).expect("restores");
+        assert_eq!(bytes, restored.snapshot(), "restore is lossless");
+        let resumed = restored.run_to_completion().expect("drains");
+        assert_eq!(stats_text(&unbroken), stats_text(&resumed));
     }
 
     #[test]

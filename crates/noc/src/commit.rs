@@ -1,25 +1,42 @@
 //! The **commit** half of the cycle kernel: the only place router state
 //! is mutated during a tick.
 //!
-//! [`commit_cycle`] applies every router's [`RouterOutcome`] in fixed
-//! node order — local allocation state first, then the cross-router
-//! effects of each departure (upstream credit return, link delivery,
-//! ejection). The outcome carries no counters: the router's stat delta
+//! [`commit_router`] applies one router's [`RouterOutcome`] right after
+//! [`crate::phase::compute_router`] decided it: local allocation state
+//! first, then each departure's ejection or fault handling. The two
+//! effects of a departure that reach another router — the flit's
+//! delivery into the downstream input buffer and the credit returned
+//! upstream for the slot it freed — are queued in [`LinkEffects`] and
+//! applied by [`apply_link_effects`] after the last router, so every
+//! router of the pass still decides from cycle-start state: no router
+//! sees a flit or a credit that moved this cycle, whatever its place in
+//! node order. The outcome carries no counters: the router's stat delta
 //! is derived here from its loser list and departures, the same facts
 //! the compute phase decided, each departure counted before the fault
 //! hook may eat it, and a quiet router costs no stat work at all.
-//! Because every outcome was computed from the cycle-start snapshot,
-//! the order the compute phase visited routers in cannot change what
-//! is committed; only this pass's node order does.
 //!
 //! The `disco-verify` commit-confinement lint pins this property down
 //! statically: outside this module and `router.rs` itself, no code may
 //! write a router's internal fields.
 
 use crate::network::Network;
+use crate::packet::Flit;
 use crate::phase::{Departure, RouterOutcome};
 use crate::router::{Router, VcState};
 use crate::topology::{NodeId, PortId};
+
+/// The cross-router effects of one cycle's departures, queued while the
+/// router pass runs and applied after its last router. Both lists are
+/// empty between ticks and keep their capacity from tick to tick.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LinkEffects {
+    /// Flits crossing a link, the pipeline delay stamped in:
+    /// `(downstream router, input port, vc, flit)`.
+    arrivals: Vec<(usize, usize, usize, Flit)>,
+    /// Credits returned for freed input slots:
+    /// `(upstream router, output port, vc)`.
+    credits: Vec<(usize, PortId, usize)>,
+}
 
 /// Applies one router's own action lists: RC/VA state transitions, the
 /// winners' buffer pops and credit decrements, the winners' round-robin
@@ -29,30 +46,37 @@ pub(crate) fn commit_router_local(router: &mut Router, outcome: &RouterOutcome) 
     let vcs = router.config.vcs;
     let flat = |port: usize, v: usize| port * vcs + v;
     for &(port, v, dir) in &outcome.routes {
-        router.inputs[flat(port, v)].state = VcState::Routed(dir);
+        router.inputs[flat(port, v)].set_state(VcState::Routed(dir));
     }
     for &(port, v, dir, out_vc) in &outcome.grants {
-        router.out_alloc[flat(dir.0, out_vc)] = Some((port, v));
-        router.inputs[flat(port, v)].state = VcState::Active { out: dir, out_vc };
+        router.outputs[flat(dir.0, out_vc)].set_owner(Some(flat(port, v)));
+        router.inputs[flat(port, v)].set_state(VcState::Active { out: dir, out_vc });
     }
     let inputs = router.ports * vcs;
     for dep in &outcome.departures {
-        router.rr_sa[dep.out.0] = (flat(dep.in_port, dep.in_vc) + 1) % inputs;
+        let next = flat(dep.in_port, dep.in_vc) + 1;
+        router.rr_sa[dep.out.0] = if next == inputs { 0 } else { next };
         let popped = router.pop_front_flit(dep.in_port, dep.in_vc);
         assert!(
             popped.is_some_and(|f| f.packet == dep.flit.packet),
             "commit desynchronized from compute: departing flit is not the buffer front"
         );
         if dep.out.0 < router.link_ports {
-            router.credits[flat(dep.out.0, dep.out_vc)] -= 1;
+            router.outputs[flat(dep.out.0, dep.out_vc)].credits -= 1;
         }
         if dep.flit.kind.is_tail() {
-            router.out_alloc[flat(dep.out.0, dep.out_vc)] = None;
-            router.inputs[flat(dep.in_port, dep.in_vc)].state = VcState::Idle;
+            router.outputs[flat(dep.out.0, dep.out_vc)].set_owner(None);
+            router.inputs[flat(dep.in_port, dep.in_vc)].set_state(VcState::Idle);
         }
     }
     router.sa_losers.clear();
     router.sa_losers.extend_from_slice(&outcome.sa_losers);
+}
+
+/// Commits a router that holds no flit: it decided nothing, and only
+/// last cycle's losers go stale.
+pub(crate) fn commit_empty(router: &mut Router) {
+    router.sa_losers.clear();
 }
 
 /// Adds one departure's share of its router's stat delta to the
@@ -103,15 +127,20 @@ fn count_departure(net: &mut Network, dep: &Departure, linked: bool) {
     }
 }
 
-/// Applies one node's outcome: local state, then the cross-router
-/// effects of each departure (credit returns upstream, link deliveries
-/// with the pipeline delay stamped in, ejections), with the stat delta
-/// derived along the way.
-fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
+/// Applies router `i`'s outcome: local state, then each departure's
+/// ejection, with the stat delta derived along the way. The credit
+/// return upstream and the link delivery (the pipeline delay stamped
+/// in) are queued in `links` for [`apply_link_effects`].
+pub(crate) fn commit_router(
+    net: &mut Network,
+    i: usize,
+    outcome: &RouterOutcome,
+    links: &mut LinkEffects,
+) {
     // A router that decided nothing has no state to change and a zero
     // stat delta; only last cycle's losers go stale.
     if outcome.is_quiet() {
-        net.routers[i].sa_losers.clear();
+        commit_empty(&mut net.routers[i]);
         return;
     }
     let now = net.now;
@@ -131,7 +160,7 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
         // port directly, for any radix and even unidirectional links.
         if dep.in_port < net.routers[i].link_ports {
             if let Some((up, up_out)) = net.topology.in_source(NodeId(i), PortId(dep.in_port)) {
-                net.routers[up.0].return_credit(up_out, dep.in_vc);
+                links.credits.push((up.0, up_out, dep.in_vc));
             }
         }
         let link = net.topology.out_link(NodeId(i), dep.out);
@@ -148,7 +177,7 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
                     .topology
                     .tile_at(NodeId(i), dep.out)
                     .unwrap_or(NodeId(i));
-                net.delivered[tile.0].push(dep.flit.packet);
+                net.push_delivered(tile, dep.flit.packet);
                 disco_trace::emit!(
                     net,
                     disco_trace::Event::Eject {
@@ -168,7 +197,7 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
             };
             let mut flit = dep.flit;
             flit.ready_at = now + net.config.pipeline_stages;
-            net.routers[next.0].accept(next_in.0, dep.out_vc, flit);
+            links.arrivals.push((next.0, next_in.0, dep.out_vc, flit));
         }
     }
     if let Some(ctx) = net.faults.as_mut() {
@@ -176,10 +205,13 @@ fn commit_node(net: &mut Network, i: usize, outcome: &RouterOutcome) {
     }
 }
 
-/// Applies every router's outcome in node order `0..n`.
-pub(crate) fn commit_cycle(net: &mut Network, outcomes: &[RouterOutcome]) {
-    debug_assert_eq!(outcomes.len(), net.routers.len(), "one outcome per router");
-    for (node, outcome) in outcomes.iter().enumerate() {
-        commit_node(net, node, outcome);
+/// Applies the pass's queued cross-router effects, in the order their
+/// departures were committed, and empties `links`.
+pub(crate) fn apply_link_effects(net: &mut Network, links: &mut LinkEffects) {
+    for (up, out, vc) in links.credits.drain(..) {
+        net.routers[up].return_credit(out, vc);
+    }
+    for (next, port, vc, flit) in links.arrivals.drain(..) {
+        net.routers[next].accept(port, vc, flit);
     }
 }

@@ -33,6 +33,7 @@
 //! assert_eq!(net.take_delivered(NodeId(15)).len(), 1);
 //! ```
 
+mod bits;
 mod commit;
 pub mod config;
 pub(crate) mod faults;
@@ -46,6 +47,7 @@ pub mod stats;
 pub mod topology;
 pub mod traffic;
 
+pub use bits::BitSet;
 pub use config::{FlowControl, NocConfig, SchedulingPolicy};
 pub use disco_faults::{FaultKind, FaultPlan, FaultStats};
 pub use health::{StallInfo, StallReason};

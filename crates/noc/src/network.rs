@@ -1,6 +1,19 @@
 //! The cycle-stepped network: routers, links, NI injection/ejection, and
 //! the extension API the DISCO layer drives.
+//!
+//! One [`Network::tick`] is NI injection, then one pass over the routers
+//! in node order: each router's RC/VA/SA decisions (`compute_router` in
+//! `phase.rs`) are committed at once (`commit.rs`), while the two
+//! effects that reach a neighbour —
+//! a flit crossing a link and a credit returned upstream — wait in a
+//! per-cycle list until the last router is done. Each router therefore
+//! decides from cycle-start state; the node order decides only the
+//! order of the trace.
+//! The per-slot loops outside the pass — NI injection and delivery
+//! pickup — visit only the tiles a bitset marks busy.
 
+use crate::bits::BitSet;
+use crate::commit::LinkEffects;
 use crate::config::{FlowControl, NocConfig};
 use crate::packet::{flit_at, Packet, PacketClass, PacketId, PacketStore, Payload};
 use crate::phase::{ComputeScratch, RouterOutcome};
@@ -9,16 +22,19 @@ use crate::stats::NetworkStats;
 use crate::topology::{NodeId, PortId, Topology, TopologySpec};
 use std::collections::VecDeque;
 
-/// The reusable compute arena: one outcome slot per router plus the
-/// RC/VA/SA scratch space. Allocations grow to their high-water mark
-/// once and are reused every cycle afterwards — the steady-state
-/// compute phase allocates nothing.
+/// The router pass's reusable working memory: one outcome slot, the
+/// RC/VA/SA scratch space and the deferred link effects. Allocations
+/// grow to their high-water mark once and are reused every cycle
+/// afterwards — the steady-state pass allocates nothing. Everything in
+/// it is empty between ticks.
 #[derive(Debug, Default)]
 struct ComputeArena {
-    /// One outcome per router, in node order.
-    outcomes: Vec<RouterOutcome>,
-    /// Overlay + candidate arenas reused across routers.
+    /// The outcome of the router under commit.
+    outcome: RouterOutcome,
+    /// Request masks and loser list reused across routers.
     scratch: ComputeScratch,
+    /// Link deliveries and credit returns, applied after the last router.
+    links: LinkEffects,
 }
 
 /// Maximum packet size in flits: an uncompressed 64 B payload.
@@ -59,17 +75,25 @@ pub struct Network {
     inject_progress: Vec<Vec<Option<InjectProgress>>>,
     /// Round-robin over VCs for the single NI injection port.
     inject_rr: Vec<usize>,
+    /// Per-tile count of packets queued or in flight at the NI. Rebuilt
+    /// from the queues on restore.
+    inject_pending: Vec<u32>,
+    /// Tiles whose `inject_pending` is non-zero: the only tiles NI
+    /// injection visits. Rebuilt on restore.
+    inject_busy: BitSet,
     /// Packets fully ejected at each tile, awaiting pickup.
-    pub(crate) delivered: Vec<Vec<PacketId>>,
+    delivered: Vec<Vec<PacketId>>,
+    /// Tiles whose `delivered` list is non-empty. Rebuilt on restore.
+    delivery_busy: BitSet,
     pub(crate) stats: NetworkStats,
     pub(crate) now: u64,
-    /// The compute arena, taken out of `self` for the duration of each
-    /// tick's compute + commit so the phases can borrow the network and
-    /// the arena independently.
+    /// The router pass's arena, taken out of `self` for the duration of
+    /// each tick's pass so compute can borrow the network immutably and
+    /// commit mutably while the arena is borrowed on its own.
     arena: ComputeArena,
     /// Cycle-stamped trace event collector, present only while tracing
     /// is on ([`Network::set_trace_capacity`]). Fed only from NI
-    /// injection and the node-ordered commit pass.
+    /// injection and the router pass's commits, in node order.
     pub(crate) tracer: Option<disco_trace::Tracer>,
     /// Commit-side fault injection/recovery state, present only while a
     /// plan with a non-zero schedule is installed
@@ -118,7 +142,10 @@ impl Network {
             inject_q: vec![vec![VecDeque::new(); config.vcs]; tiles],
             inject_progress: vec![vec![None; config.vcs]; tiles],
             inject_rr: vec![0; tiles],
+            inject_pending: vec![0; tiles],
+            inject_busy: BitSet::new(tiles),
             delivered: vec![Vec::new(); tiles],
+            delivery_busy: BitSet::new(tiles),
             stats: NetworkStats::new(),
             now: 0,
             arena: ComputeArena::default(),
@@ -168,6 +195,8 @@ impl Network {
     /// Records one event at the current cycle — the sink surface
     /// [`disco_trace::emit!`] uses from the NoC and the layers above it
     /// (codec engines, endpoint codecs). A no-op while tracing is off.
+    /// Marked cold so untraced emission sites stay off the hot path.
+    #[cold]
     pub fn trace_record(&mut self, event: disco_trace::Event) {
         if let Some(tracer) = &mut self.tracer {
             tracer.trace_record(event);
@@ -240,6 +269,8 @@ impl Network {
             .min_by_key(|&v| self.inject_q[src.0][v].len())
             .unwrap_or(0);
         self.inject_q[src.0][vc].push_back(id);
+        self.inject_pending[src.0] += 1;
+        self.inject_busy.insert(src.0);
         self.stats.packets_injected += 1;
         disco_trace::emit!(
             self,
@@ -268,6 +299,21 @@ impl Network {
         }
         let store = &mut self.store;
         out.extend(ids.drain(..).map(|id| store.remove(id)));
+        self.delivery_busy.remove(node.0);
+    }
+
+    /// The first tile at or after `from` with delivered packets awaiting
+    /// pickup, if any: a caller that drains every tile with deliveries
+    /// in ascending order steps through them with this and
+    /// [`Network::drain_delivered`], skipping the idle ones.
+    pub fn next_delivery_tile(&self, from: NodeId) -> Option<NodeId> {
+        self.delivery_busy.next_from(from.0).map(NodeId)
+    }
+
+    /// Queues a packet fully ejected at `tile` for pickup.
+    pub(crate) fn push_delivered(&mut self, tile: NodeId, packet: PacketId) {
+        self.delivered[tile.0].push(packet);
+        self.delivery_busy.insert(tile.0);
     }
 
     /// Packets fully delivered at tile `node` since the last call,
@@ -289,7 +335,7 @@ impl Network {
         }
         self.store.is_empty()
             && self.routers.iter().all(|r| r.total_buffered() == 0)
-            && self.inject_q.iter().flatten().all(|q| q.is_empty())
+            && self.inject_busy.is_empty()
     }
 
     /// Checks run-time invariants across every router: per-router state
@@ -331,12 +377,12 @@ impl Network {
         Ok(())
     }
 
-    /// Advances the network one cycle: injection, then the pure compute
-    /// phase (RC/VA/SA for every router over the cycle-start snapshot),
-    /// then the node-ordered commit pass (switch/link traversal, credit
-    /// returns, ejection). Flits delivered downstream become ready
-    /// only after the pipeline delay, so a flit advances at most one hop
-    /// per cycle regardless of commit order.
+    /// Advances the network one cycle: injection, then one pass over
+    /// the routers in node order, each router's RC/VA/SA decided from
+    /// its cycle-start state and committed at once (switch traversal,
+    /// ejection), then the pass's deferred link deliveries and credit
+    /// returns. Flits delivered downstream become ready only after the
+    /// pipeline delay, so a flit advances at most one hop per cycle.
     pub fn tick(&mut self) {
         self.now += 1;
         self.stats.cycles += 1;
@@ -345,11 +391,11 @@ impl Network {
         }
         crate::faults::drain_retransmits(self);
         self.inject();
-        // Detach the arena from `self` so the compute phase can borrow
-        // the network immutably and the arena mutably at the same time.
+        // Detach the arena from `self` so each compute can borrow the
+        // network immutably, and each commit mutably, while the arena
+        // stays borrowed.
         let mut arena = std::mem::take(&mut self.arena);
-        self.compute_phase(&mut arena);
-        crate::commit::commit_cycle(self, &arena.outcomes);
+        self.router_pass(&mut arena);
         self.arena = arena;
         if cfg!(debug_assertions) {
             if let Err(msg) = self.check_invariants() {
@@ -358,38 +404,54 @@ impl Network {
         }
     }
 
-    /// Runs [`crate::phase::compute_router`] for every router over the
-    /// cycle-start snapshot, filling one outcome per router in node
-    /// order.
-    fn compute_phase(&self, arena: &mut ComputeArena) {
-        let now = self.now;
-        let gate = self.phase_gate();
-        let ComputeArena { outcomes, scratch } = arena;
-        outcomes.resize_with(self.routers.len(), RouterOutcome::default);
-        for (router, outcome) in self.routers.iter().zip(outcomes.iter_mut()) {
+    /// Runs [`crate::phase::compute_router`] and then
+    /// [`crate::commit::commit_router`] for each router in node order,
+    /// then applies the link effects the commits deferred. A router that
+    /// holds no flit decides nothing and is not computed.
+    fn router_pass(&mut self, arena: &mut ComputeArena) {
+        let ComputeArena {
+            outcome,
+            scratch,
+            links,
+        } = arena;
+        for node in 0..self.routers.len() {
+            if self.routers[node].total_buffered() == 0 {
+                crate::commit::commit_empty(&mut self.routers[node]);
+                continue;
+            }
             crate::phase::compute_router(
-                router,
-                now,
+                &self.routers[node],
+                self.now,
                 &self.store,
                 &self.topology,
-                gate,
+                self.phase_gate(),
                 scratch,
                 outcome,
             );
+            crate::commit::commit_router(self, node, outcome, links);
         }
+        crate::commit::apply_link_effects(self, links);
     }
 
     /// NI injection: one flit per tile per cycle, round-robin over VCs.
     /// Each tile owns one local port on its router (tiles and routers
-    /// coincide except on the concentrated mesh).
+    /// coincide except on the concentrated mesh). Only tiles with a
+    /// queued or in-flight packet are visited, in ascending order.
     fn inject(&mut self) {
-        for tile in 0..self.inject_q.len() {
+        let mut next = self.inject_busy.next_from(0);
+        while let Some(tile) = next {
+            next = self.inject_busy.next_from(tile + 1);
             let vcs = self.config.vcs;
             let router = self.topology.router_of(NodeId(tile)).0;
             let local = self.topology.local_port(NodeId(tile)).0;
             let start = self.inject_rr[tile];
             for k in 0..vcs {
-                let vc = (start + k) % vcs;
+                // `start < vcs`: one subtraction wraps the VC index.
+                let vc = if start + k >= vcs {
+                    start + k - vcs
+                } else {
+                    start + k
+                };
                 if self.inject_progress[tile][vc].is_none() {
                     if let Some(&id) = self.inject_q[tile][vc].front() {
                         let total = self.store.get(id).size_flits();
@@ -422,6 +484,10 @@ impl Network {
                     self.inject_progress[tile][vc] = Some(prog);
                 } else {
                     self.inject_progress[tile][vc] = None;
+                    self.inject_pending[tile] -= 1;
+                    if self.inject_pending[tile] == 0 {
+                        self.inject_busy.remove(tile);
+                    }
                     disco_trace::emit!(
                         self,
                         disco_trace::Event::NiDone {
@@ -430,7 +496,7 @@ impl Network {
                         }
                     );
                 }
-                self.inject_rr[tile] = (vc + 1) % vcs;
+                self.inject_rr[tile] = if vc + 1 == vcs { 0 } else { vc + 1 };
                 break; // one flit per tile per cycle
             }
         }
@@ -1022,7 +1088,8 @@ impl Network {
     /// arenas and credits, the packet store, the NI injection queues,
     /// delivery queues, counters, and (when they are on) the trace ring
     /// and the fault-recovery ledger. The topology, config and compute
-    /// arena are rebuilt from config on restore.
+    /// arena are rebuilt from config on restore, and the busy-tile
+    /// bitsets and per-tile injection counts from the queues.
     pub fn snap_state(&self, w: &mut disco_snapshot::Writer) {
         w.put(&(self.routers.len() as u64));
         for router in &self.routers {
@@ -1072,6 +1139,37 @@ impl Network {
         self.inject_progress = r.take()?;
         self.inject_rr = r.take()?;
         self.delivered = r.take()?;
+        let tiles = self.inject_q.len();
+        if self.inject_rr.iter().any(|&vc| vc >= self.config.vcs) {
+            return Err(disco_snapshot::malformed(format!(
+                "NI round-robin pointer beyond the {} VCs",
+                self.config.vcs
+            )));
+        }
+        let lists = [
+            self.inject_progress.len(),
+            self.inject_rr.len(),
+            self.delivered.len(),
+        ];
+        if lists.iter().any(|&len| len != tiles) {
+            return Err(disco_snapshot::malformed(format!(
+                "in-flight injection, NI pointer and delivery lists sized {lists:?} in \
+                 snapshot, {tiles} tiles"
+            )));
+        }
+        self.inject_busy = BitSet::new(tiles);
+        self.delivery_busy = BitSet::new(tiles);
+        for tile in 0..tiles {
+            let pending = self.inject_q[tile].iter().map(VecDeque::len).sum::<usize>()
+                + self.inject_progress[tile].iter().flatten().count();
+            self.inject_pending[tile] = pending as u32;
+            if pending > 0 {
+                self.inject_busy.insert(tile);
+            }
+            if !self.delivered[tile].is_empty() {
+                self.delivery_busy.insert(tile);
+            }
+        }
         self.stats = r.take()?;
         self.now = r.take()?;
         self.tracer = r.take()?;

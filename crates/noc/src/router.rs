@@ -7,17 +7,18 @@
 //! flits, virtual-channel allocation (VA), and switch allocation (SA)
 //! with per-class priorities — all three stages run as the pure
 //! `phase::compute_router` function over this struct's cycle-start
-//! snapshot, and the resulting action lists are applied by the `commit`
-//! pass. Pipeline depth is modelled by delaying a flit's
+//! state, and the resulting action lists are applied by the `commit`
+//! code right after. Pipeline depth is modelled by delaying a flit's
 //! readiness after each hop. Credit-based backpressure tracks the free
 //! slots of each downstream virtual channel.
 //!
 //! **Storage.** All input buffers of a router share one flit ring of
 //! `ports · vcs · depth` slots; VC `i` uses its own `depth` slots
-//! circularly. Each VC has a one-cache-line header (`VcHeader`)
+//! circularly. Each VC has a half-cache-line header (`VcHeader`)
 //! holding its ring offset and length, its allocation state, the DISCO
-//! lock bit and a copy of its front flit, and an occupancy bitset marks
-//! the non-empty VCs. The compute phase therefore visits
+//! lock bit and a copy of its front flit; each output VC's credits and
+//! owner sit together in an `OutVc`; and an occupancy bitset marks the
+//! non-empty VCs. The compute phase therefore visits
 //! only non-empty VCs and decides each from its header alone; the ring
 //! is read only to pop, reshape, or scan a VC's whole contents.
 //! [`Router::vc`] hands out a borrowed [`Vc`] view over one header and
@@ -29,7 +30,8 @@ use crate::packet::{Flit, FlitKind, PacketId};
 use crate::topology::{NodeId, PortId};
 use std::fmt;
 
-/// Progress of one input virtual channel's front packet.
+/// Progress of one input virtual channel's front packet. The header
+/// stores it in three bytes (see [`VcHeader::state`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum VcState {
     /// No packet being processed.
@@ -42,24 +44,61 @@ pub(crate) enum VcState {
 
 /// One input virtual channel's header: where its flits sit in the
 /// router's flit ring, its allocation state, the DISCO lock bit, and a
-/// copy of its front flit. Exactly one cache line, so the compute phase
-/// decides a VC from one load instead of chasing the ring.
+/// copy of its front flit. Half a cache line, so the compute phase
+/// decides a VC from one load instead of chasing the ring, and two
+/// neighbouring VCs share a line.
 #[derive(Clone, Copy)]
-#[repr(C, align(64))]
+#[repr(C, align(32))]
 pub(crate) struct VcHeader {
     /// Copy of the ring's front flit; meaningful only while `len > 0`.
     pub(crate) front: Flit,
-    pub(crate) state: VcState,
     /// Ring offset of the front flit within this VC's `depth` slots.
-    head: u32,
+    head: u16,
     /// Buffered flit count.
-    len: u32,
+    len: u16,
+    /// The [`VcState`]: tag (0 `Idle`, 1 `Routed`, 2 `Active`), output
+    /// port, output VC.
+    state: [u8; 3],
     /// DISCO shadow-invalid bit: a locked VC is under committed in-network
     /// de/compression and is excluded from switch allocation (§3.2 step 3).
     pub(crate) locked: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<VcHeader>() == 64);
+const _: () = assert!(std::mem::size_of::<VcHeader>() == 32);
+
+/// One output virtual channel: the downstream credits and the input VC
+/// that holds it, side by side so VA and SA read both from one line.
+#[derive(Clone, Copy)]
+pub(crate) struct OutVc {
+    /// Free slots in the downstream input buffer (unbounded on local
+    /// ejection ports).
+    pub(crate) credits: usize,
+    /// Flattened index of the input VC that holds this output VC, or
+    /// [`OutVc::FREE`].
+    owner: u16,
+}
+
+impl OutVc {
+    const FREE: u16 = u16::MAX;
+
+    /// True while no input VC holds this output VC.
+    #[inline]
+    pub(crate) fn is_free(&self) -> bool {
+        self.owner == Self::FREE
+    }
+
+    /// The flattened input VC holding this output VC.
+    #[inline]
+    pub(crate) fn owner(&self) -> Option<usize> {
+        (!self.is_free()).then_some(self.owner as usize)
+    }
+
+    /// Hands this output VC to flattened input VC `input`, or frees it.
+    #[inline]
+    pub(crate) fn set_owner(&mut self, input: Option<usize>) {
+        self.owner = input.map_or(Self::FREE, |i| i as u16);
+    }
+}
 
 /// A flit that fills unused ring slots; never read as buffer content.
 const EMPTY_SLOT: Flit = Flit {
@@ -71,9 +110,9 @@ const EMPTY_SLOT: Flit = Flit {
 impl VcHeader {
     const EMPTY: VcHeader = VcHeader {
         front: EMPTY_SLOT,
-        state: VcState::Idle,
         head: 0,
         len: 0,
+        state: [0; 3],
         locked: false,
     };
 
@@ -81,6 +120,31 @@ impl VcHeader {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.len as usize
+    }
+
+    /// The front packet's progress through RC and VA.
+    #[inline]
+    pub(crate) fn state(&self) -> VcState {
+        let [tag, out, out_vc] = self.state;
+        match tag {
+            1 => VcState::Routed(PortId(out as usize)),
+            2 => VcState::Active {
+                out: PortId(out as usize),
+                out_vc: out_vc as usize,
+            },
+            _ => VcState::Idle,
+        }
+    }
+
+    /// Records the front packet's progress. `Router::new` bounds port
+    /// and VC indices to a byte each.
+    #[inline]
+    pub(crate) fn set_state(&mut self, state: VcState) {
+        self.state = match state {
+            VcState::Idle => [0; 3],
+            VcState::Routed(out) => [1, out.0 as u8, 0],
+            VcState::Active { out, out_vc } => [2, out.0 as u8, out_vc as u8],
+        };
     }
 }
 
@@ -106,7 +170,7 @@ impl<'a> Vc<'a> {
     /// The front packet's progress through RC and VA.
     #[cfg(test)]
     pub(crate) fn state(self) -> VcState {
-        self.header.state
+        self.header.state()
     }
 
     /// Packet at the front of the buffer, if any.
@@ -127,7 +191,7 @@ impl<'a> Vc<'a> {
     /// The output port this VC's front packet is routed toward, once RC
     /// has run.
     pub fn routed_port(self) -> Option<PortId> {
-        match self.header.state {
+        match self.header.state() {
             VcState::Idle => None,
             VcState::Routed(p) => Some(p),
             VcState::Active { out, .. } => Some(out),
@@ -182,14 +246,14 @@ impl fmt::Debug for Vc<'_> {
         }
         f.debug_struct("Vc")
             .field("buffer", &Buffer(*self))
-            .field("state", &self.header.state)
+            .field("state", &self.header.state())
             .field("locked", &self.header.locked)
             .finish()
     }
 }
 
 /// A router of any topology. Fields are crate-visible so the pure
-/// compute phase (`phase`) can snapshot them and the commit pass
+/// compute phase (`phase`) can read them and the commit code
 /// (`commit`) can apply action lists; everything else goes through the
 /// public accessors.
 #[derive(Clone)]
@@ -202,9 +266,14 @@ pub struct Router {
     /// Ports `0..link_ports` face other routers; `link_ports..ports`
     /// are local NI ports with unbounded ejection credits.
     pub(crate) link_ports: usize,
-    /// Input VC headers, flattened `port * vcs + vc`: one cache line
+    /// Input VC headers, flattened `port * vcs + vc`: half a cache line
     /// each, in one contiguous allocation.
     pub(crate) inputs: Vec<VcHeader>,
+    /// Output VCs, flattened `out_port * vcs + out_vc`: credits and
+    /// owner.
+    pub(crate) outputs: Vec<OutVc>,
+    /// Per-output round-robin pointer over flattened (port, vc) inputs.
+    pub(crate) rr_sa: Vec<usize>,
     /// The router's flit ring: input VC `i` owns the `buffer_depth`
     /// slots starting at `i * buffer_depth`, used circularly from its
     /// header's `head`. Sized once at construction; never grows.
@@ -213,26 +282,19 @@ pub struct Router {
     /// exactly when VC `i` holds a flit, so the compute phase visits
     /// only non-empty VCs, in `(port, vc)` order.
     pub(crate) occupied: Vec<u64>,
-    /// Which (in_port, in_vc) currently owns each output VC, flattened
-    /// `out_port * vcs + out_vc`.
-    pub(crate) out_alloc: Vec<Option<(usize, usize)>>,
-    /// Free slots in the downstream input buffer, flattened
-    /// `out_port * vcs + out_vc`.
-    pub(crate) credits: Vec<usize>,
-    /// Per-output round-robin pointer over flattened (port, vc) inputs.
-    pub(crate) rr_sa: Vec<usize>,
     /// Switch-allocation losers of the last cycle: the idling packets the
     /// DISCO arbitrator filters (§3.2 step 1).
     pub(crate) sa_losers: Vec<(usize, usize)>,
     /// Total flits buffered across all input VCs, maintained on every
-    /// accept/pop/reshape. `0` lets the compute phase skip the router
+    /// accept/pop/reshape. `0` lets the router pass skip the router
     /// outright — on large networks most routers are idle most cycles.
     pub(crate) buffered: usize,
 }
 
 /// Prints the router as the per-VC buffers it models: the ring, the
 /// headers' ring positions and the occupancy bitset are storage detail
-/// and never appear.
+/// and never appear, and each output VC's owner prints as its
+/// `(port, vc)`.
 impl fmt::Debug for Router {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         struct Inputs<'a>(&'a Router);
@@ -250,8 +312,8 @@ impl fmt::Debug for Router {
             .field("ports", &self.ports)
             .field("link_ports", &self.link_ports)
             .field("inputs", &Inputs(self))
-            .field("out_alloc", &self.out_alloc)
-            .field("credits", &self.credits)
+            .field("out_alloc", &self.out_alloc())
+            .field("credits", &self.credit_list())
             .field("rr_sa", &self.rr_sa)
             .field("sa_losers", &self.sa_losers)
             .field("buffered", &self.buffered)
@@ -297,30 +359,37 @@ impl Router {
     pub(crate) fn new(node: NodeId, config: NocConfig, ports: usize, link_ports: usize) -> Self {
         let depth = config.buffer_depth;
         assert!(
-            u32::try_from(depth).is_ok(),
+            u16::try_from(depth).is_ok(),
             "buffer depth {depth} exceeds the VC header's ring offsets"
         );
+        assert!(
+            ports < 256 && config.vcs < 256,
+            "{ports} ports x {} VCs exceed the VC header's byte-wide indices",
+            config.vcs
+        );
         let n = ports * config.vcs;
-        let out_alloc = vec![None; n];
         // Local (ejection) outputs are modelled with unlimited credits;
         // inter-router outputs start with the full downstream buffer.
-        let mut credits = vec![depth; n];
-        for port in link_ports..ports {
-            for v in 0..config.vcs {
-                credits[port * config.vcs + v] = usize::MAX / 2;
-            }
-        }
+        let outputs = (0..n)
+            .map(|i| OutVc {
+                credits: if i / config.vcs < link_ports {
+                    depth
+                } else {
+                    usize::MAX / 2
+                },
+                owner: OutVc::FREE,
+            })
+            .collect();
         Router {
             node,
             config,
             ports,
             link_ports,
             inputs: vec![VcHeader::EMPTY; n],
+            outputs,
+            rr_sa: vec![0; ports],
             flits: vec![EMPTY_SLOT; n * depth],
             occupied: vec![0; n.div_ceil(64)],
-            out_alloc,
-            credits,
-            rr_sa: vec![0; ports],
             sa_losers: Vec::with_capacity(n),
             buffered: 0,
         }
@@ -330,6 +399,13 @@ impl Router {
     #[inline]
     pub(crate) fn idx(&self, port: usize, vc: usize) -> usize {
         port * self.config.vcs + vc
+    }
+
+    /// The `(port, vc)` of flattened input VC `idx`.
+    #[inline]
+    pub(crate) fn port_vc(&self, idx: usize) -> (usize, usize) {
+        let port = idx / self.config.vcs;
+        (port, idx - port * self.config.vcs)
     }
 
     /// The view of input VC `idx` (flattened `port * vcs + vc`).
@@ -374,7 +450,21 @@ impl Router {
     /// Free slots reported by the downstream router for `(out, vc)` — the
     /// `credit_in` signal of the confidence counter (Fig. 3).
     pub fn credit_in(&self, out: PortId, vc: usize) -> usize {
-        self.credits[self.idx(out.0, vc)]
+        self.outputs[self.idx(out.0, vc)].credits
+    }
+
+    /// Each output VC's owner as `(in_port, in_vc)`, flattened
+    /// `out_port * vcs + out_vc`: the text and snapshot form.
+    fn out_alloc(&self) -> Vec<Option<(usize, usize)>> {
+        self.outputs
+            .iter()
+            .map(|o| o.owner().map(|i| self.port_vc(i)))
+            .collect()
+    }
+
+    /// Each output VC's credits, flattened `out_port * vcs + out_vc`.
+    fn credit_list(&self) -> Vec<usize> {
+        self.outputs.iter().map(|o| o.credits).collect()
     }
 
     /// Occupied slots of a local input VC — the complement of the
@@ -412,7 +502,11 @@ impl Router {
             len < depth,
             "buffer overflow at {node} port {port} vc {vc}: flow control violated"
         );
-        self.flits[idx * depth + (header.head as usize + len) % depth] = flit;
+        // The slot after the last flit, wrapped: `head < depth` and
+        // `len < depth`, so one subtraction wraps it.
+        let slot = header.head as usize + len;
+        let slot = if slot >= depth { slot - depth } else { slot };
+        self.flits[idx * depth + slot] = flit;
         if len == 0 {
             header.front = flit;
             let (word, mask) = occupancy_bit(idx);
@@ -433,7 +527,11 @@ impl Router {
             return None;
         }
         let flit = header.front;
-        header.head = ((header.head as usize + 1) % depth) as u32;
+        header.head = if header.head as usize + 1 == depth {
+            0
+        } else {
+            header.head + 1
+        };
         header.len -= 1;
         if header.len == 0 {
             let (word, mask) = occupancy_bit(idx);
@@ -449,7 +547,7 @@ impl Router {
     /// Public for the in-network-processing extension layer and tests.
     pub fn return_credit(&mut self, out: PortId, vc: usize) {
         let idx = self.idx(out.0, vc);
-        self.credits[idx] += 1;
+        self.outputs[idx].credits += 1;
     }
 
     /// Consumes `n` credits of an output VC if available (used when an
@@ -458,7 +556,7 @@ impl Router {
     /// upstream router to account for the reduced free space).
     pub fn try_take_credits(&mut self, out: PortId, vc: usize, n: usize) -> bool {
         let idx = self.idx(out.0, vc);
-        let c = &mut self.credits[idx];
+        let c = &mut self.outputs[idx].credits;
         if *c >= n {
             *c -= n;
             true
@@ -543,7 +641,7 @@ impl Router {
                 ready_at: now,
             };
         }
-        header.len = (start + new_len + after) as u32;
+        header.len = (start + new_len + after) as u16;
         header.front = flits[at(0)];
         let delta = new_len as isize - seg_len as isize;
         self.buffered = (self.buffered as isize + delta) as usize;
@@ -625,13 +723,14 @@ impl Router {
                         self.node
                     ));
                 }
-                if let VcState::Active { out, out_vc } = header.state {
-                    if self.out_alloc[self.idx(out.0, out_vc)] != Some((port, v)) {
+                if let VcState::Active { out, out_vc } = header.state() {
+                    let owner = self.outputs[self.idx(out.0, out_vc)].owner();
+                    if owner != Some(idx) {
                         return Err(format!(
                             "{} port {port} vc {v}: active on {out}/{out_vc}, but that \
                              output is allocated to {:?}",
                             self.node,
-                            self.out_alloc[self.idx(out.0, out_vc)]
+                            owner.map(|i| self.port_vc(i))
                         ));
                     }
                 }
@@ -640,9 +739,10 @@ impl Router {
         for oi in 0..self.ports {
             let out = PortId(oi);
             for ov in 0..self.config.vcs {
-                if let Some((port, v)) = self.out_alloc[self.idx(oi, ov)] {
-                    match self.inputs[self.idx(port, v)].state {
-                        VcState::Active { out: o, out_vc } if o == out && out_vc == ov => {}
+                if let Some(owner) = self.outputs[self.idx(oi, ov)].owner() {
+                    let (port, v) = self.port_vc(owner);
+                    match self.inputs.get(owner).map(VcHeader::state) {
+                        Some(VcState::Active { out: o, out_vc }) if o == out && out_vc == ov => {}
                         other => {
                             return Err(format!(
                                 "{} output {out}/{ov}: allocated to port {port} vc {v}, \
@@ -652,11 +752,11 @@ impl Router {
                         }
                     }
                 }
-                if oi < self.link_ports && self.credits[self.idx(oi, ov)] > depth {
+                let credits = self.outputs[self.idx(oi, ov)].credits;
+                if oi < self.link_ports && credits > depth {
                     return Err(format!(
-                        "{} output {out}/{ov}: {} credits exceed buffer depth {depth}",
-                        self.node,
-                        self.credits[self.idx(oi, ov)]
+                        "{} output {out}/{ov}: {credits} credits exceed buffer depth {depth}",
+                        self.node
                     ));
                 }
             }
@@ -711,11 +811,11 @@ impl Router {
             for flit in vc.flits() {
                 w.put(flit);
             }
-            w.put(&vc.header.state);
+            w.put(&vc.header.state());
             w.put(&vc.header.locked);
         }
-        w.put(&self.out_alloc);
-        w.put(&self.credits);
+        w.put(&self.out_alloc());
+        w.put(&self.credit_list());
         w.put(&self.rr_sa);
         w.put(&self.sa_losers);
         w.put(&self.buffered);
@@ -751,15 +851,27 @@ impl Router {
             for slot in &mut self.flits[idx * depth..idx * depth + len] {
                 *slot = r.take()?;
             }
+            let state: VcState = r.take()?;
+            let in_range = match state {
+                VcState::Idle => true,
+                VcState::Routed(out) => out.0 < self.ports,
+                VcState::Active { out, out_vc } => out.0 < self.ports && out_vc < self.config.vcs,
+            };
+            if !in_range {
+                return Err(disco_snapshot::malformed(format!(
+                    "router {} input VC {idx} state {state:?} names no output VC",
+                    self.node.0
+                )));
+            }
             let header = &mut self.inputs[idx];
             header.head = 0;
-            header.len = len as u32;
+            header.len = len as u16;
             header.front = if len > 0 {
                 self.flits[idx * depth]
             } else {
                 EMPTY_SLOT
             };
-            header.state = r.take()?;
+            header.set_state(state);
             header.locked = r.take()?;
             if len > 0 {
                 let (word, mask) = occupancy_bit(idx);
@@ -768,19 +880,45 @@ impl Router {
         }
         let out_alloc: Vec<Option<(usize, usize)>> = r.take()?;
         let credits: Vec<usize> = r.take()?;
-        if out_alloc.len() != self.out_alloc.len() || credits.len() != self.credits.len() {
+        let n = self.outputs.len();
+        if out_alloc.len() != n || credits.len() != n {
             return Err(disco_snapshot::malformed(format!(
-                "router {} output arrays sized {}/{} in snapshot, {}/{} rebuilt",
+                "router {} output arrays sized {}/{} in snapshot, {n}/{n} rebuilt",
                 self.node.0,
                 out_alloc.len(),
                 credits.len(),
-                self.out_alloc.len(),
-                self.credits.len()
             )));
         }
-        self.out_alloc = out_alloc;
-        self.credits = credits;
-        self.rr_sa = r.take()?;
+        for (out, (owner, credits)) in self
+            .outputs
+            .iter_mut()
+            .zip(out_alloc.into_iter().zip(credits))
+        {
+            let owner = match owner {
+                Some((port, v)) if port < self.ports && v < self.config.vcs => {
+                    Some(port * self.config.vcs + v)
+                }
+                Some(other) => {
+                    return Err(disco_snapshot::malformed(format!(
+                        "router {} output VC owned by input {other:?}, which does not exist",
+                        self.node.0
+                    )))
+                }
+                None => None,
+            };
+            out.set_owner(owner);
+            out.credits = credits;
+        }
+        let rr_sa: Vec<usize> = r.take()?;
+        if rr_sa.len() != self.ports || rr_sa.iter().any(|&i| i >= self.inputs.len()) {
+            return Err(disco_snapshot::malformed(format!(
+                "router {} round-robin pointers {rr_sa:?} for {} ports of {} input VCs",
+                self.node.0,
+                self.ports,
+                self.inputs.len()
+            )));
+        }
+        self.rr_sa = rr_sa;
         self.sa_losers = r.take()?;
         self.buffered = r.take()?;
         let actual: usize = self.inputs.iter().map(VcHeader::len).sum();

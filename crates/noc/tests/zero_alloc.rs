@@ -1,10 +1,13 @@
 //! Pins the zero-allocation contract of the cycle kernel: once the
-//! compute arena has reached its high-water capacity, a
-//! steady-state [`Network::tick`] performs **no** heap allocation — no
-//! per-router outcome vectors, no RC/VA/SA request or loser lists, no
-//! per-flit `flits_for` buffers, also while packets contend for an
-//! output. DISCO's in-place rewrite of a resident packet
-//! ([`Network::reshape_resident`]) allocates nothing either.
+//! router pass's arena has reached its high-water capacity, a
+//! steady-state [`Network::tick`] performs **no** heap allocation — not
+//! the reused outcome slot, not the per-output switch-request masks
+//! (several words wide once a router has more than 64 input VCs) or
+//! the loser lists, not the deferred link deliveries and credit returns
+//! the pass applies after its last router, and no per-flit `flits_for`
+//! buffers, also while packets contend for an output. DISCO's in-place
+//! rewrite of a resident packet ([`Network::reshape_resident`])
+//! allocates nothing either.
 //!
 //! The measurement uses a counting global allocator gated by a
 //! thread-local flag, so only allocations made *by this test's thread
@@ -19,7 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use disco_compress::CacheLine;
 use disco_noc::packet::flits_for;
-use disco_noc::{FlowControl, Mesh, Network, NocConfig, NodeId, PacketClass, Payload, Ring};
+use disco_noc::{
+    ConcentratedMesh, FlowControl, Mesh, Network, NocConfig, NodeId, PacketClass, Payload, Ring,
+};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -103,9 +108,11 @@ fn drain_burst(name: &str, net: &mut Network, burst: &[(usize, usize)]) -> (u32,
 /// Drives the burst twice to warm up, so every router's outcome slot,
 /// per-output request list, loser list and VC deque reaches capacity,
 /// then measures a third identical burst mid-flight: ticks inside the
-/// window must allocate exactly nothing. With `contended`, the window
-/// must also see switch-allocation losers, so the loser and request
-/// paths are the ones measured.
+/// window must allocate exactly nothing. Flits must cross links inside
+/// the window, so the deferred link deliveries and credit returns are
+/// on the measured path. With `contended`, the window must also see
+/// switch-allocation losers, so the loser and request paths are
+/// measured too.
 fn assert_steady_state_allocates_nothing(
     name: &str,
     net: &mut Network,
@@ -135,6 +142,7 @@ fn assert_steady_state_allocates_nothing(
     net.tick();
 
     let losses_before = net.stats().sa_losses;
+    let hops_before = net.stats().link_flits;
     COUNTING.with(|c| c.set(true));
     let before = ALLOCS.load(Ordering::Relaxed);
     for _ in 0..first_arrival / 2 {
@@ -146,6 +154,10 @@ fn assert_steady_state_allocates_nothing(
         after - before,
         0,
         "{name}: steady-state ticks must not touch the heap"
+    );
+    assert!(
+        net.stats().link_flits > hops_before,
+        "{name}: the window must see link deliveries"
     );
     if contended {
         assert!(
@@ -228,9 +240,10 @@ fn assert_reshape_allocates_nothing() {
 /// window. On a 4x4 mesh, the four tiles of row 0 and two tiles of
 /// column 0 then send to the far corner at once, so their packets
 /// compete for the eastward and southward outputs and the ejection
-/// port: the window runs the per-output SA request lists, arbitration
+/// port: the window runs the per-output SA request masks, arbitration
 /// and credit losers and VA losers, under wormhole and under virtual
-/// cut-through.
+/// cut-through. A concentrated mesh with 9 VCs (8 ports x 9 = 72 input
+/// VCs per router) runs the same contention over two-word masks.
 #[test]
 fn steady_state_cycles_allocate_nothing() {
     assert_reshape_allocates_nothing();
@@ -256,4 +269,14 @@ fn steady_state_cycles_allocate_nothing() {
         let mut net = Network::new(Mesh::new(4, 4), config);
         assert_steady_state_allocates_nothing(name, &mut net, &contention, true);
     }
+
+    // Tiles 0-3 share router 0 and tiles 4-7 router 1 of a 4x2 router
+    // grid; all of them send to router 7's tiles.
+    let config = NocConfig {
+        vcs: 9,
+        ..NocConfig::default()
+    };
+    let mut cmesh = Network::new(ConcentratedMesh::new(4, 2, 4), config);
+    let contention = [(0, 28), (1, 29), (2, 30), (3, 31), (4, 28), (5, 29)];
+    assert_steady_state_allocates_nothing("cmesh 4x2x4 contended", &mut cmesh, &contention, true);
 }

@@ -10,11 +10,15 @@
 //!    use `assert!`/`panic!` with a message naming the violated
 //!    invariant. Comments and `#[cfg(test)]` items, where panicking is
 //!    idiomatic, are skipped.
-//! 2. **Commit confinement** — the phase-split cycle kernel keeps its
-//!    determinism guarantee only if every `Router` field write happens in
-//!    the node-ordered commit pass. No file in `crates/noc/src` other
+//! 2. **Commit confinement** — the cycle kernel visits the routers once
+//!    per cycle in node order, deciding each router's RC/VA/SA with the
+//!    pure `compute_router` and committing the decisions at once; the
+//!    flit deliveries and credit returns that reach a neighbour are
+//!    deferred to the end of the pass, so every router decides from
+//!    cycle-start state. That holds only if every `Router` field write
+//!    happens in the commit code. No file in `crates/noc/src` other
 //!    than `commit.rs` (and `router.rs` itself) may mutate a router's
-//!    `inputs`, `flits`, `occupied`, `out_alloc`, `credits`, `rr_sa`, or
+//!    `inputs`, `outputs`, `flits`, `occupied`, `credits`, `rr_sa`, or
 //!    `sa_losers` directly.
 //! 3. **No wall-clock in the trace path** — trace records are stamped
 //!    with the simulated cycle, never host time, or the export stops
@@ -73,14 +77,14 @@ pub const HOT_PATHS: &[&str] = &[
     "crates/trace/src/provenance.rs",
 ];
 
-/// `Router` fields only the commit pass may write. The compute phase
-/// reads them through snapshots; everything else goes through `Router`
-/// methods.
+/// `Router` fields only the commit code may write (`credits` is the
+/// per-output-VC field inside `outputs`). The compute phase only reads
+/// them; everything else goes through `Router` methods.
 const ROUTER_FIELDS: &[&str] = &[
     "inputs",
+    "outputs",
     "flits",
     "occupied",
-    "out_alloc",
     "credits",
     "rr_sa",
     "sa_losers",
@@ -281,11 +285,11 @@ pub fn repo_root() -> PathBuf {
 // code placed after a `#[cfg(test)]` module.
 // ---------------------------------------------------------------------------
 
-/// Files whose code runs in the serial (single-threaded) part of the
-/// cycle: the commit pass itself, the network driver that calls it, and
-/// the serial fault injector. These may call `&mut self` `Router`
-/// methods; everything else in `crates/noc/src` — above all the compute
-/// phase — must not even borrow a router mutably.
+/// Files whose code may mutate routers: the commit code itself, the
+/// network driver that runs the router pass, and the fault injector the
+/// commit calls. These may call `&mut self` `Router` methods;
+/// everything else in `crates/noc/src` — above all the compute phase —
+/// must not even borrow a router mutably.
 pub const SERIAL_CONTEXT: &[&str] = &[
     "crates/noc/src/router.rs",
     "crates/noc/src/commit.rs",

@@ -64,3 +64,49 @@ bench-check:
         esac
       done
     done
+
+# Paired comparison of two built `disco-benchmark` binaries on one
+# workload, as the benchmark README prescribes: `pairs` pairs of
+# `seconds`-long runs, alternating which binary goes first, with a fresh
+# seed per pair (2016, 2018, …). Prints every run's `sim_cycles_per_s`,
+# the per-pair change/parent ratios, the change's wins, both medians,
+# the parent's IQR, and whether the change clears the claim rule: wins
+# in at least 9 of 10 pairs and a median gain larger than the parent's
+# IQR. Copy each binary out of its target directory first.
+bench-pair parent change workload pairs="10" seconds="20":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    run() {
+      "$1" --workload "{{workload}}" --seed "$2" --seconds "{{seconds}}" --trace 0 | tail -n 1 \
+        | python3 -c 'import json, sys; v = json.load(sys.stdin); assert v["correct"] and v["failed"] == 0, v; print(v["metrics"]["sim_cycles_per_s"]["value"])'
+    }
+    results=""
+    for k in $(seq 0 $(({{pairs}} - 1))); do
+      seed=$((2016 + 2 * k))
+      if [ $((k % 2)) -eq 0 ]; then
+        p=$(run "{{parent}}" "$seed"); c=$(run "{{change}}" "$seed"); order="parent first"
+      else
+        c=$(run "{{change}}" "$seed"); p=$(run "{{parent}}" "$seed"); order="change first"
+      fi
+      echo "bench-pair: pair $k seed $seed ($order): parent $p change $c"
+      results="$results $p:$c"
+    done
+    python3 - $results <<'PY'
+    import statistics, sys
+    pairs = [tuple(map(float, a.split(":"))) for a in sys.argv[1:]]
+    parent, change = [p for p, _ in pairs], [c for _, c in pairs]
+    def quartiles(xs):
+        q = statistics.quantiles(xs, n=4, method="inclusive")
+        return q[0], q[2]
+    ratios = [c / p for p, c in pairs]
+    wins = sum(r > 1 for r in ratios)
+    pm, cm = statistics.median(parent), statistics.median(change)
+    q1, q3 = quartiles(parent)
+    need = -(-9 * len(pairs) // 10)
+    print("ratios (change/parent):", " ".join(f"{r:.3f}" for r in ratios))
+    print(f"wins: {wins}/{len(pairs)} (need {need})")
+    print(f"median parent {pm:.0f}, change {cm:.0f}, ratio {cm / pm:.3f}; median pair ratio {statistics.median(ratios):.3f}")
+    print(f"parent IQR {q3 - q1:.0f}; median gain {cm - pm:.0f}")
+    ok = wins >= need and cm - pm > q3 - q1
+    print("verdict:", "change wins the claim rule" if ok else "claim rule not met")
+    PY
